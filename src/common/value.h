@@ -36,6 +36,19 @@ class Value {
 
   static Value Null() { return Value(); }
 
+  /// In-place setters, equal to assigning the matching constructor's
+  /// result but keeping the string buffer's capacity: refilling a
+  /// recycled row slot allocates nothing in steady state.
+  void SetNull() { Set(ValueType::kNull, 0, 0); }
+  void SetInt64(int64_t v) { Set(ValueType::kInt64, v, 0); }
+  void SetDouble(double v) { Set(ValueType::kDouble, 0, v); }
+  void SetString(const char* data, size_t size) {
+    type_ = ValueType::kString;
+    i_ = 0;
+    d_ = 0;
+    s_.assign(data, size);
+  }
+
   ValueType type() const { return type_; }
   bool is_null() const { return type_ == ValueType::kNull; }
 
@@ -69,6 +82,13 @@ class Value {
   std::string ToString() const;
 
  private:
+  void Set(ValueType type, int64_t i, double d) {
+    type_ = type;
+    i_ = i;
+    d_ = d;
+    s_.clear();
+  }
+
   ValueType type_;
   int64_t i_;
   double d_;

@@ -65,7 +65,8 @@ void FilterOp::NextBatchImpl(RowBatch* out) {
       // not they pass the predicate.
       if (i >= in_.random_run()) random_over_ = true;
       if (predicate_->Evaluate(in_.row(i))) {
-        *out->NextSlot() = std::move(in_.row(i));
+        // Swap, not move: both slots keep their storage for the refill.
+        std::swap(*out->NextSlot(), in_.row(i));
         out->CommitSlot();
         if (!random_over_) out->bump_random_run();
       }

@@ -30,6 +30,12 @@ inline size_t NextPowerOfTwo(size_t n) {
   return p;
 }
 
+// Bucket of a key code in a partition index. The partition was chosen by
+// the low bits of PartitionMix(code), so buckets take the high bits.
+inline size_t BucketOf(uint64_t code, size_t mask) {
+  return static_cast<size_t>(PartitionMix(code) >> 32) & mask;
+}
+
 }  // namespace
 
 GraceHashJoinOp::GraceHashJoinOp(OperatorPtr build, OperatorPtr probe,
@@ -83,15 +89,62 @@ uint64_t GraceHashJoinOp::ProbeKeyCode(const Row& row) const {
   return h;
 }
 
-bool GraceHashJoinOp::KeysEqual(const Row& build_row,
-                                const Row& probe_row) const {
-  for (size_t i = 0; i < build_key_indices_.size(); ++i) {
-    if (build_row[build_key_indices_[i]].Compare(
-            probe_row[probe_key_indices_[i]]) != 0) {
+void GraceHashJoinOp::BuildIndex(const Partition& build,
+                                 PartitionIndex* index) const {
+  size_t n = build.rows.size();
+  QPI_CHECK(n < kNoRow);
+  index->head.assign(NextPowerOfTwo(n), kNoRow);
+  index->next.resize(n);
+  size_t mask = index->head.size() - 1;
+  for (size_t i = n; i-- > 0;) {
+    uint32_t& head = index->head[BucketOf(build.codes[i], mask)];
+    index->next[i] = head;
+    head = static_cast<uint32_t>(i);
+  }
+}
+
+bool GraceHashJoinOp::KeysEqual(const Partition& build, size_t bi,
+                                const Partition& probe, size_t pi) const {
+  for (size_t k = 0; k < build_key_indices_.size(); ++k) {
+    if (!build.rows.CellEquals(bi, build_key_indices_[k], probe.rows, pi,
+                               probe_key_indices_[k])) {
       return false;
     }
   }
   return true;
+}
+
+uint32_t GraceHashJoinOp::NextMatch(const Partition& build,
+                                    const PartitionIndex& index, uint32_t pos,
+                                    const Partition& probe, size_t pi) const {
+  // Composite and string keys are matched by 64-bit code first, values
+  // second; a chain also holds rows of other codes that share the bucket.
+  uint64_t code = probe.codes[pi];
+  for (; pos != kNoRow; pos = index.next[pos]) {
+    if (build.codes[pos] == code && KeysEqual(build, pos, probe, pi)) break;
+  }
+  return pos;
+}
+
+uint32_t GraceHashJoinOp::FirstMatch(const Partition& build,
+                                     const PartitionIndex& index,
+                                     const Partition& probe, size_t pi) const {
+  uint32_t head = index.head[BucketOf(probe.codes[pi], index.head.size() - 1)];
+  return NextMatch(build, index, head, probe, pi);
+}
+
+void GraceHashJoinOp::GatherJoined(const Partition& build, uint32_t bi,
+                                   const Partition& probe, size_t pi,
+                                   Row* out) const {
+  size_t build_width = build.rows.width();
+  out->resize(build_width + probe.rows.width());
+  if (bi == kNoRow) {
+    // NULL-pad the build side of an unmatched probe row.
+    for (size_t c = 0; c < build_width; ++c) (*out)[c].SetNull();
+  } else {
+    build.rows.GatherInto(bi, out->data());
+  }
+  probe.rows.GatherInto(pi, out->data() + build_width);
 }
 
 void GraceHashJoinOp::EnableBinaryOnceEstimation() {
@@ -144,8 +197,12 @@ Status GraceHashJoinOp::OpenImpl() {
   // over the mixed key hash, and the parallel join phase fans out one task
   // per partition.
   num_partitions_ = NextPowerOfTwo(requested);
-  build_parts_.assign(num_partitions_, {});
-  probe_parts_.assign(num_partitions_, {});
+  build_parts_.assign(
+      num_partitions_,
+      Partition{PackedRows(build_child()->schema().num_columns()), {}});
+  probe_parts_.assign(
+      num_partitions_,
+      Partition{PackedRows(probe_child()->schema().num_columns()), {}});
   return Status::OK();
 }
 
@@ -167,8 +224,10 @@ void GraceHashJoinOp::RunBuildPhase() {
       }
     }
     for (size_t i = 0; i < n; ++i) {
-      size_t part = PartitionMix(keys[i]) & (num_partitions_ - 1);
-      build_parts_[part].push_back(std::move(batch.row(i)));
+      Partition& p =
+          build_parts_[PartitionMix(keys[i]) & (num_partitions_ - 1)];
+      p.rows.Append(batch.row(i));
+      p.codes.push_back(keys[i]);
     }
     build_rows_ += n;
   }
@@ -205,8 +264,10 @@ void GraceHashJoinOp::RunProbePartitionPhase() {
       if (run < n) pipeline_->Freeze();
     }
     for (size_t i = 0; i < n; ++i) {
-      size_t part = PartitionMix(keys[i]) & (num_partitions_ - 1);
-      probe_parts_[part].push_back(std::move(batch.row(i)));
+      Partition& p =
+          probe_parts_[PartitionMix(keys[i]) & (num_partitions_ - 1)];
+      p.rows.Append(batch.row(i));
+      p.codes.push_back(keys[i]);
     }
   }
   if (once_ != nullptr) once_->ProbeComplete();
@@ -242,7 +303,7 @@ void GraceHashJoinOp::StartParallelJoin() {
   join_window_ = std::min(2 * ctx_->exec_workers + 2, num_partitions_);
   join_submitted_ = 0;
   join_emit_part_ = 0;
-  join_merge_batch_ = RowBatch(0);
+  join_merge_batch_.reset();
   join_emit_row_ = 0;
   join_sched_ = ctx_->scheduler();
   join_group_ = std::make_unique<TaskGroup>(join_sched_, ctx_->sched_tag());
@@ -271,16 +332,25 @@ void GraceHashJoinOp::JoinPartitionTask(size_t part) {
   RunJoinChunk(part);
 }
 
+std::unique_ptr<RowBatch> GraceHashJoinOp::AcquireJoinBatch() {
+  {
+    std::lock_guard<std::mutex> lock(join_mu_);
+    if (!join_free_batches_.empty()) {
+      std::unique_ptr<RowBatch> batch = std::move(join_free_batches_.back());
+      join_free_batches_.pop_back();
+      return batch;
+    }
+  }
+  return std::make_unique<RowBatch>(ctx_->batch_size);
+}
+
 void GraceHashJoinOp::RunJoinChunk(size_t part) {
   PartitionResult& result = part_results_[part];
-  const std::vector<Row>& build_rows = build_parts_[part];
-  const std::vector<Row>& probe_rows = probe_parts_[part];
-  size_t batch_rows = ctx_->batch_size;
-  // Resume the in-progress output batch saved by the previous chunk; the
-  // initial `partial` is a capacity-1 placeholder, replaced on first use.
-  RowBatch batch = std::move(result.partial);
-  if (batch.capacity() != batch_rows) batch = RowBatch(batch_rows);
-  result.partial = RowBatch(0);
+  const Partition& build = build_parts_[part];
+  const Partition& probe = probe_parts_[part];
+  // Resume the in-progress output batch saved by the previous chunk; a
+  // batch is only acquired once there is a row to put in it.
+  std::unique_ptr<RowBatch> batch = std::move(result.partial);
   uint64_t local_consumed = 0;
   // Set by flush when `ready` reaches the cap; checked between probe rows
   // so the chunk pauses instead of materializing an unbounded backlog.
@@ -293,8 +363,8 @@ void GraceHashJoinOp::RunJoinChunk(size_t part) {
   // fleet's helping protocol relies on, while letting the merge drain
   // this partition concurrently with its production.
   auto flush = [&] {
-    if (batch.empty()) return;
-    CountEmitted(batch.size());
+    if (batch == nullptr || batch->empty()) return;
+    CountEmitted(batch->size());
     join_driver_consumed_.fetch_add(local_consumed, std::memory_order_relaxed);
     local_consumed = 0;
     {
@@ -304,25 +374,25 @@ void GraceHashJoinOp::RunJoinChunk(size_t part) {
     }
     // The merge driver is the only join_cv_ waiter.
     join_cv_.notify_one();
-    batch = RowBatch(batch_rows);
   };
-  auto emit = [&](Row row) {
-    batch.PushRow(std::move(row));
-    if (batch.full()) flush();
+  auto next_slot = [&] {
+    if (batch == nullptr) batch = AcquireJoinBatch();
+    return batch->NextSlot();
+  };
+  auto commit = [&] {
+    batch->CommitSlot();
+    if (batch->full()) flush();
   };
 
   bool aborted =
       join_abort_.load(std::memory_order_relaxed) || ctx_->IsCancelled();
   if (!aborted) {
-    if (!result.table_built) {
-      result.table.reserve(build_rows.size());
-      for (size_t i = 0; i < build_rows.size(); ++i) {
-        result.table[BuildKeyCode(build_rows[i])].push_back(i);
-      }
-      result.table_built = true;
+    if (!result.index_built) {
+      BuildIndex(build, &result.index);
+      result.index_built = true;
     }
-    const auto& table = result.table;
-    for (size_t pi = result.resume_pi; pi < probe_rows.size(); ++pi) {
+    const PartitionIndex& index = result.index;
+    for (size_t pi = result.resume_pi; pi < probe.rows.size(); ++pi) {
       if (at_cap) {
         // Re-check under the lock — the merge driver may have drained the
         // queue since the flush that tripped the cap, in which case the
@@ -355,33 +425,26 @@ void GraceHashJoinOp::RunJoinChunk(size_t part) {
            ctx_->IsCancelled())) {
         break;
       }
-      const Row& probe_row = probe_rows[pi];
       ++local_consumed;
-      auto it = table.find(ProbeKeyCode(probe_row));
-      bool matched = false;
-      if (it != table.end()) {
-        for (size_t idx : it->second) {
-          if (KeysEqual(build_rows[idx], probe_row)) {
-            matched = true;
-            break;
-          }
-        }
-      }
+      uint32_t match = FirstMatch(build, index, probe, pi);
       if (join_type_ == JoinFlavor::kSemi || join_type_ == JoinFlavor::kAnti) {
-        if (matched == (join_type_ == JoinFlavor::kSemi)) emit(probe_row);
-        continue;
-      }
-      if (!matched) {
-        if (join_type_ == JoinFlavor::kProbeOuter) {
-          Row nulls(build_child()->schema().num_columns(), Value::Null());
-          emit(ConcatRows(nulls, probe_row));
+        if ((match != kNoRow) == (join_type_ == JoinFlavor::kSemi)) {
+          probe.rows.Gather(pi, next_slot());
+          commit();
         }
         continue;
       }
-      for (size_t idx : it->second) {
-        const Row& build_row = build_rows[idx];
-        if (!KeysEqual(build_row, probe_row)) continue;  // code collision
-        emit(ConcatRows(build_row, probe_row));
+      if (match == kNoRow) {
+        if (join_type_ == JoinFlavor::kProbeOuter) {
+          GatherJoined(build, kNoRow, probe, pi, next_slot());
+          commit();
+        }
+        continue;
+      }
+      for (; match != kNoRow;
+           match = NextMatch(build, index, index.next[match], probe, pi)) {
+        GatherJoined(build, match, probe, pi, next_slot());
+        commit();
       }
     }
   }
@@ -392,8 +455,13 @@ void GraceHashJoinOp::RunJoinChunk(size_t part) {
   {
     std::lock_guard<std::mutex> lock(join_mu_);
     result.state = PartitionResult::State::kDone;
-    // The hash table is dead weight once the partition is exhausted.
-    std::unordered_map<uint64_t, std::vector<size_t>>().swap(result.table);
+    // The index is dead weight once the partition is exhausted; a batch
+    // left over by an aborted chunk goes back to the free list.
+    result.index = PartitionIndex();
+    if (batch != nullptr) {
+      batch->Clear();
+      join_free_batches_.push_back(std::move(batch));
+    }
   }
   join_cv_.notify_one();
 }
@@ -405,21 +473,26 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
   // explicit PreparePartitions), but never once the sequential cursor has
   // advanced — a row-path caller may already own join-phase state.
   if (!parallel_join_ && ctx_ != nullptr && ctx_->exec_workers > 1 &&
-      current_part_ == 0 && !part_table_built_) {
+      current_part_ == 0 && !part_index_built_) {
     StartParallelJoin();
   }
   if (parallel_join_) {
     // Merge published batches in partition-index order — each drained as
     // soon as its producer publishes it, so in-flight output stays near
-    // one batch per running subtask. The subtasks already advanced
-    // `emitted_` when they flushed, so the merge must not count again.
-    // The wrapper's Tick(out->size()) still delivers the progress ticks
-    // for these rows on the driving thread.
+    // one batch per running subtask. Rows are swapped, not moved, into
+    // `out`: the drained batch returns to the free list holding the
+    // caller's previous row storage, so neither side reallocates. The
+    // subtasks already advanced `emitted_` when they flushed, so the merge
+    // must not count again. The wrapper's Tick(out->size()) still delivers
+    // the progress ticks for these rows on the driving thread.
     while (!out->full()) {
-      while (join_emit_row_ < join_merge_batch_.size() && !out->full()) {
-        out->PushRow(std::move(join_merge_batch_.row(join_emit_row_++)));
+      if (join_merge_batch_ != nullptr) {
+        while (join_emit_row_ < join_merge_batch_->size() && !out->full()) {
+          std::swap(*out->NextSlot(), join_merge_batch_->row(join_emit_row_++));
+          out->CommitSlot();
+        }
+        if (out->full()) break;
       }
-      if (out->full()) break;
       if (join_emit_part_ >= num_partitions_) {
         phase_ = Phase::kDone;
         break;
@@ -429,13 +502,20 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
       bool requeue = false;  // stalled runner drained below the cap
       {
         std::lock_guard<std::mutex> lock(join_mu_);
+        if (join_merge_batch_ != nullptr) {
+          join_merge_batch_->Clear();
+          join_free_batches_.push_back(std::move(join_merge_batch_));
+        }
         if (!r.ready.empty()) {
           join_merge_batch_ = std::move(r.ready.front());
           r.ready.pop_front();
           join_emit_row_ = 0;
           next = Next::kBatch;
+          // Requeue only once half the cap has drained, so a stalled
+          // runner resumes for several batches instead of one task per
+          // batch.
           if (r.state == PartitionResult::State::kStalled &&
-              r.ready.size() < kJoinReadyCap) {
+              r.ready.size() <= kJoinReadyCap / 2) {
             r.state = PartitionResult::State::kQueued;
             requeue = true;
           }
@@ -455,8 +535,6 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
       }
       if (next == Next::kBatch) continue;
       if (next == Next::kAdvance) {
-        join_merge_batch_ = RowBatch(0);
-        join_emit_row_ = 0;
         ++join_emit_part_;
         SubmitJoinUpTo(join_emit_part_ + join_window_);
         continue;
@@ -491,69 +569,46 @@ bool GraceHashJoinOp::AdvanceJoin(Row* out) {
             "row-at-a-time join cursor used while the parallel join phase "
             "owns the partitions");
   while (current_part_ < num_partitions_) {
-    const std::vector<Row>& build_rows = build_parts_[current_part_];
-    const std::vector<Row>& probe_rows = probe_parts_[current_part_];
-    if (!part_table_built_) {
-      part_table_.clear();
-      for (size_t i = 0; i < build_rows.size(); ++i) {
-        part_table_[BuildKeyCode(build_rows[i])].push_back(i);
-      }
+    const Partition& build = build_parts_[current_part_];
+    const Partition& probe = probe_parts_[current_part_];
+    if (!part_index_built_) {
+      BuildIndex(build, &part_index_);
       probe_row_idx_ = 0;
-      current_matches_ = nullptr;
-      part_table_built_ = true;
+      match_pos_ = kNoRow;
+      part_index_built_ = true;
     }
-    while (probe_row_idx_ < probe_rows.size()) {
-      const Row& probe_row = probe_rows[probe_row_idx_];
-      if (current_matches_ == nullptr) {
+    while (probe_row_idx_ < probe.rows.size()) {
+      size_t pi = probe_row_idx_;
+      if (match_pos_ == kNoRow) {
         join_driver_consumed_.fetch_add(1, std::memory_order_relaxed);
-        uint64_t key = ProbeKeyCode(probe_row);
-        auto it = part_table_.find(key);
-        // Verify actual key equality on the candidate bucket: composite and
-        // string keys are matched by 64-bit code first, values second.
-        bool matched = false;
-        if (it != part_table_.end()) {
-          for (size_t idx : it->second) {
-            if (KeysEqual(build_rows[idx], probe_row)) {
-              matched = true;
-              break;
-            }
-          }
-        }
+        uint32_t match = FirstMatch(build, part_index_, probe, pi);
         if (join_type_ == JoinFlavor::kSemi ||
             join_type_ == JoinFlavor::kAnti) {
-          bool emit = matched == (join_type_ == JoinFlavor::kSemi);
           ++probe_row_idx_;
-          if (emit) {
-            *out = probe_row;
+          if ((match != kNoRow) == (join_type_ == JoinFlavor::kSemi)) {
+            probe.rows.Gather(pi, out);
             return true;
           }
           continue;
         }
-        if (!matched) {
+        if (match == kNoRow) {
           ++probe_row_idx_;
           if (join_type_ == JoinFlavor::kProbeOuter) {
-            // NULL-pad the build side of the unmatched probe row.
-            Row nulls(build_child()->schema().num_columns(), Value::Null());
-            *out = ConcatRows(nulls, probe_row);
+            GatherJoined(build, kNoRow, probe, pi, out);
             return true;
           }
           continue;
         }
-        current_matches_ = &it->second;
-        match_idx_ = 0;
+        match_pos_ = match;
       }
-      while (match_idx_ < current_matches_->size()) {
-        const Row& build_row = build_rows[(*current_matches_)[match_idx_]];
-        ++match_idx_;
-        if (!KeysEqual(build_row, probe_row)) continue;  // code collision
-        *out = ConcatRows(build_row, probe_row);
-        return true;
-      }
-      current_matches_ = nullptr;
-      ++probe_row_idx_;
+      GatherJoined(build, match_pos_, probe, pi, out);
+      match_pos_ = NextMatch(build, part_index_, part_index_.next[match_pos_],
+                             probe, pi);
+      if (match_pos_ == kNoRow) ++probe_row_idx_;
+      return true;
     }
     ++current_part_;
-    part_table_built_ = false;
+    part_index_built_ = false;
   }
   return false;
 }
@@ -562,20 +617,23 @@ void GraceHashJoinOp::CloseImpl() {
   // Tear down the parallel join phase first: the abort flag makes still-
   // queued partition subtasks exit at their next check, and resetting the
   // group waits (helping the fleet) for every subtask before the
-  // partitions they read are cleared.
+  // partitions they read are released.
   join_abort_.store(true, std::memory_order_relaxed);
   join_group_.reset();
   join_sched_ = nullptr;
-  part_results_.clear();
   parallel_join_ = false;
   join_window_ = 0;
   join_submitted_ = 0;
   join_emit_part_ = 0;
-  join_merge_batch_ = RowBatch(0);
+  join_merge_batch_.reset();
   join_emit_row_ = 0;
-  build_parts_.clear();
-  probe_parts_.clear();
-  part_table_.clear();
+  // Swap with empty containers rather than clear(), which keeps capacity:
+  // a server retains every finished query's operator tree.
+  std::vector<PartitionResult>().swap(part_results_);
+  std::vector<std::unique_ptr<RowBatch>>().swap(join_free_batches_);
+  std::vector<Partition>().swap(build_parts_);
+  std::vector<Partition>().swap(probe_parts_);
+  part_index_ = PartitionIndex();
 }
 
 double GraceHashJoinOp::DneEstimate() const {

@@ -3,12 +3,13 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/packed_rows.h"
 #include "estimators/baselines.h"
 #include "estimators/join_once.h"
 #include "estimators/pipeline_join.h"
@@ -116,6 +117,24 @@ class GraceHashJoinOp : public Operator {
  private:
   enum class Phase { kInit, kJoin, kDone };
 
+  /// One side of a partition pair: packed rows plus each row's key code.
+  struct Partition {
+    PackedRows rows;
+    std::vector<uint64_t> codes;
+  };
+
+  /// Chained hash index over a build partition's stored key codes:
+  /// `head[bucket]` is the bucket's first build row, `next[row]` the
+  /// following row of the same bucket, kNoRow ends a chain. Rows are
+  /// inserted in reverse, so every chain walks ascending build order and
+  /// a probe row's matches are emitted in the order the build input
+  /// produced them.
+  struct PartitionIndex {
+    std::vector<uint32_t> head;
+    std::vector<uint32_t> next;
+  };
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+
   void RunBuildPhase();
   void RunProbePartitionPhase();
   bool AdvanceJoin(Row* out);
@@ -142,6 +161,8 @@ class GraceHashJoinOp : public Operator {
   /// unmerged (-> kStalled, resume state saved). Called with the
   /// partition in state kRunning.
   void RunJoinChunk(size_t part);
+  /// A cleared output batch from the free list, or a new one.
+  std::unique_ptr<RowBatch> AcquireJoinBatch();
 
   Operator* build_child() const { return child(0); }
   Operator* probe_child() const { return child(1); }
@@ -152,7 +173,21 @@ class GraceHashJoinOp : public Operator {
 
   uint64_t BuildKeyCode(const Row& row) const;
   uint64_t ProbeKeyCode(const Row& row) const;
-  bool KeysEqual(const Row& build_row, const Row& probe_row) const;
+
+  // The partition index and the one bucket walk both join paths use.
+  void BuildIndex(const Partition& build, PartitionIndex* index) const;
+  bool KeysEqual(const Partition& build, size_t bi, const Partition& probe,
+                 size_t pi) const;
+  /// First build row at chain position `pos` or after it whose key equals
+  /// probe row `pi`'s; kNoRow when the chain has none.
+  uint32_t NextMatch(const Partition& build, const PartitionIndex& index,
+                     uint32_t pos, const Partition& probe, size_t pi) const;
+  uint32_t FirstMatch(const Partition& build, const PartitionIndex& index,
+                      const Partition& probe, size_t pi) const;
+  /// Overwrite `*out` with build row `bi` (NULLs when kNoRow) followed by
+  /// probe row `pi`, reusing the slot's storage.
+  void GatherJoined(const Partition& build, uint32_t bi,
+                    const Partition& probe, size_t pi, Row* out) const;
 
   std::vector<size_t> build_key_indices_;
   std::vector<size_t> probe_key_indices_;
@@ -160,16 +195,16 @@ class GraceHashJoinOp : public Operator {
   size_t num_partitions_ = 64;
 
   Phase phase_ = Phase::kInit;
-  std::vector<std::vector<Row>> build_parts_;
-  std::vector<std::vector<Row>> probe_parts_;
+  std::vector<Partition> build_parts_;
+  std::vector<Partition> probe_parts_;
 
   // Join-phase cursor.
   size_t current_part_ = 0;
-  bool part_table_built_ = false;
-  std::unordered_map<uint64_t, std::vector<size_t>> part_table_;
+  bool part_index_built_ = false;
+  PartitionIndex part_index_;
   size_t probe_row_idx_ = 0;
-  const std::vector<size_t>* current_matches_ = nullptr;
-  size_t match_idx_ = 0;
+  // Next build row matching probe_row_idx_; kNoRow: probe that row next.
+  uint32_t match_pos_ = kNoRow;
 
   uint64_t build_rows_ = 0;
   uint64_t probe_partition_consumed_ = 0;
@@ -180,9 +215,13 @@ class GraceHashJoinOp : public Operator {
   // Parallel join phase (see StartParallelJoin). A partition's output is
   // produced in bounded chunks: its runner pauses (returns to the fleet,
   // never blocks) once `ready` holds kJoinReadyCap unmerged batches, and
-  // the merge driver requeues it after draining — so in-flight join
-  // output is capped at ~window × cap batches no matter how skewed one
-  // partition's output is.
+  // the merge driver requeues it once half of them are drained — so
+  // in-flight join output is capped at ~window × cap batches no matter how
+  // skewed one partition's output is. Output batches cycle between the
+  // runners and the merge through `join_free_batches_`: the merge swaps
+  // rows into the caller's batch and returns the drained batch, so row
+  // storage is reused instead of being allocated on one thread and freed
+  // on another.
   struct PartitionResult {
     enum class State : unsigned char {
       kQueued,   ///< a task for the next chunk is (re)submitted
@@ -190,17 +229,19 @@ class GraceHashJoinOp : public Operator {
       kStalled,  ///< paused at the ready-cap; the driver requeues it
       kDone,     ///< fully joined, nothing more will be produced
     };
-    std::deque<RowBatch> ready;     ///< produced, not yet merged (join_mu_)
+    /// Produced, not yet merged (join_mu_).
+    std::deque<std::unique_ptr<RowBatch>> ready;
     State state = State::kQueued;   ///< guarded by join_mu_
     // Chunk-resume state, owned by the current runner (handed off through
     // the join_mu_ state transitions above).
-    std::unordered_map<uint64_t, std::vector<size_t>> table;
-    bool table_built = false;
+    PartitionIndex index;
+    bool index_built = false;
     size_t resume_pi = 0;    ///< next probe row index
-    RowBatch partial{0};     ///< in-progress output batch across chunks
+    std::unique_ptr<RowBatch> partial;  ///< output batch across chunks
   };
   static constexpr size_t kJoinReadyCap = 16;
   std::vector<PartitionResult> part_results_;
+  std::vector<std::unique_ptr<RowBatch>> join_free_batches_;  // join_mu_
   std::mutex join_mu_;
   std::condition_variable join_cv_;
   std::atomic<bool> join_abort_{false};
@@ -209,7 +250,8 @@ class GraceHashJoinOp : public Operator {
   size_t join_window_ = 0;     // partitions in flight past the merge cursor
   size_t join_submitted_ = 0;  // partitions handed to the scheduler
   size_t join_emit_part_ = 0;  // merge cursor (driving thread only)
-  RowBatch join_merge_batch_{0};  // batch being merged (driving thread only)
+  // Batch being merged (driving thread only).
+  std::unique_ptr<RowBatch> join_merge_batch_;
   size_t join_emit_row_ = 0;
   // Declared after the members its tasks touch: the group's destructor
   // waits for outstanding partition subtasks.

@@ -33,8 +33,22 @@ MorselScanDriver::MorselScanDriver(SeqScanOp* scan,
   morsel_count_ =
       static_cast<size_t>((total_rows_ + morsel_rows_ - 1) / morsel_rows_);
   window_ = 2 * ctx_->exec_workers + 2;
-  results_.resize(morsel_count_);
   remaining_.store(morsel_count_, std::memory_order_relaxed);
+
+  for (const MorselStage& st : stages_) {
+    stage_cols_.push_back(out_cols_);
+    if (st.projection == nullptr) continue;
+    std::vector<size_t> cols;
+    cols.reserve(st.projection->size());
+    for (size_t idx : *st.projection) {
+      cols.push_back(out_cols_ ? (*out_cols_)[idx] : idx);
+    }
+    out_cols_ = std::move(cols);
+  }
+  size_t width =
+      out_cols_ ? out_cols_->size() : table_->schema().num_columns();
+  results_.resize(std::min(window_, morsel_count_));
+  for (MorselResult& r : results_) r.rows = PackedRows(width);
 
   if (!stages_.empty()) {
     captured_.push_back(scan_);
@@ -72,7 +86,7 @@ void MorselScanDriver::SubmitUpTo(size_t limit) {
 }
 
 void MorselScanDriver::ProcessMorsel(size_t m) {
-  MorselResult& r = results_[m];
+  MorselResult& r = results_[m % results_.size()];
   uint64_t begin = static_cast<uint64_t>(m) * morsel_rows_;
   uint64_t end = std::min(total_rows_, begin + morsel_rows_);
   uint64_t ticks = 0;
@@ -87,8 +101,7 @@ void MorselScanDriver::ProcessMorsel(size_t m) {
     uint64_t v = begin;
     size_t local = static_cast<size_t>(begin - vstarts_[b]);
     bool run_ok = true;
-    std::vector<uint64_t> stage_out(stages_.size(), 0);
-    r.rows.reserve(static_cast<size_t>(end - begin));
+    r.stage_out.assign(stages_.size(), 0);
 
     while (v < end) {
       const Block& block = table_->block(order_->block_order[b]);
@@ -102,41 +115,47 @@ void MorselScanDriver::ProcessMorsel(size_t m) {
       // v + 1 < prefix; an out-of-run input ends the run for every later
       // output even if a predicate drops it.
       if (sampled_ && v + 1 >= prefix_rows_) run_ok = false;
-      Row row = block.row(local);
+      const Row& row = block.row(local);
       bool keep = true;
       for (size_t s = 0; s < stages_.size() && keep; ++s) {
         const MorselStage& st = stages_[s];
         if (st.predicate != nullptr) {
-          keep = st.predicate->Evaluate(row);
-        } else {
-          Row projected;
-          projected.reserve(st.projection->size());
-          for (size_t idx : *st.projection) {
-            projected.push_back(std::move(row[idx]));
+          const std::optional<std::vector<size_t>>& cols = stage_cols_[s];
+          if (!cols) {
+            keep = st.predicate->Evaluate(row);
+          } else {
+            r.scratch.resize(cols->size());
+            for (size_t c = 0; c < cols->size(); ++c) {
+              r.scratch[c] = row[(*cols)[c]];
+            }
+            keep = st.predicate->Evaluate(r.scratch);
           }
-          row = std::move(projected);
         }
-        if (keep) ++stage_out[s];
+        if (keep) ++r.stage_out[s];
       }
       if (keep) {
         if (run_ok) ++r.random_limit;
-        r.rows.push_back(std::move(row));
+        if (out_cols_) {
+          r.rows.AppendColumns(row, *out_cols_);
+        } else {
+          r.rows.Append(row);
+        }
       }
       ++local;
       ++v;
     }
 
-    r.scanned = end - begin;
+    uint64_t scanned = end - begin;
     r.breaks_run = sampled_ && end >= prefix_rows_;
 
     // Attribute the captured operators' counters and bank the matching
     // progress ticks; the driving operator's rows are counted on delivery.
     if (!captured_.empty()) {
-      scan_->CountEmitted(r.scanned);
-      ticks += r.scanned;
+      scan_->CountEmitted(scanned);
+      ticks += scanned;
       for (size_t s = 0; s + 1 < stages_.size(); ++s) {
-        stages_[s].op->CountEmitted(stage_out[s]);
-        ticks += stage_out[s];
+        stages_[s].op->CountEmitted(r.stage_out[s]);
+        ticks += r.stage_out[s];
       }
     }
   }
@@ -156,7 +175,7 @@ void MorselScanDriver::ProcessMorsel(size_t m) {
 
 void MorselScanDriver::Fill(RowBatch* out) {
   while (!out->full() && emit_idx_ < morsel_count_) {
-    MorselResult& r = results_[emit_idx_];
+    MorselResult& r = results_[emit_idx_ % results_.size()];
     // Wait for morsel emit_idx_ by *helping*: drain pending subtasks
     // (often our own, possibly another query's on a shared fleet) instead
     // of parking. A driving thread that is itself a fleet worker would
@@ -175,7 +194,8 @@ void MorselScanDriver::Fill(RowBatch* out) {
     }
     while (cursor_ < r.rows.size() && !out->full()) {
       bool in_run = run_open_ && cursor_ < r.random_limit;
-      out->PushRow(std::move(r.rows[cursor_]));
+      r.rows.Gather(cursor_, out->NextSlot());
+      out->CommitSlot();
       if (in_run) out->bump_random_run();
       ++cursor_;
     }
@@ -183,8 +203,15 @@ void MorselScanDriver::Fill(RowBatch* out) {
       // The run is monotone across morsels: once this morsel consumed past
       // the prefix boundary, no later output is in-run.
       if (r.breaks_run) run_open_ = false;
-      r.rows.clear();
-      r.rows.shrink_to_fit();
+      // Reset the slot for the morsel that reuses it; the submission
+      // below orders these writes before that morsel's task runs.
+      r.rows.Clear();
+      r.random_limit = 0;
+      r.breaks_run = false;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        r.done = false;
+      }
       cursor_ = 0;
       ++emit_idx_;
       SubmitUpTo(emit_idx_ + window_);

@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
+#include "common/packed_rows.h"
 #include "common/row.h"
 #include "common/row_batch.h"
 
@@ -58,8 +60,12 @@ struct MorselStage {
 /// contribute.
 ///
 /// In-flight memory is bounded: at most ~2·workers+2 morsels are submitted
-/// ahead of the merge cursor, and drained morsel buffers are released
-/// immediately.
+/// ahead of the merge cursor. Their results live in a ring of that many
+/// slots, each a PackedRows buffer reused by every morsel that maps to it,
+/// so a steady-state scan allocates nothing per row or per morsel result.
+/// Workers evaluate predicates on the stored block row and pack only the
+/// rows that survive; the merge gathers them into the caller's batch
+/// slots.
 class MorselScanDriver {
  public:
   /// `stages` is the fused chain bottom-up; the last stage (or the scan
@@ -75,18 +81,21 @@ class MorselScanDriver {
   MorselScanDriver(const MorselScanDriver&) = delete;
   MorselScanDriver& operator=(const MorselScanDriver&) = delete;
 
-  /// Append rows to `out` (already cleared by the NextBatch wrapper) until
-  /// it is full or the stream ends, bumping the batch's random_run for the
-  /// leading in-run rows. Driving thread only.
+  /// Gather rows into `out`'s slots (already cleared by the NextBatch
+  /// wrapper) until it is full or the stream ends, bumping the batch's
+  /// random_run for the leading in-run rows. Driving thread only.
   void Fill(RowBatch* out);
 
  private:
+  /// Result slot of morsel m, m + ring size, ...: the merge resets a
+  /// drained slot before submitting the next morsel that maps to it.
   struct MorselResult {
-    std::vector<Row> rows;      // surviving (fully transformed) rows
-    uint64_t scanned = 0;       // input rows consumed from the table
+    PackedRows rows;            // surviving (fully transformed) rows
     uint64_t random_limit = 0;  // leading rows produced from in-run inputs
     bool breaks_run = false;    // consumed past the random-prefix boundary
     bool done = false;          // guarded by mu_
+    std::vector<uint64_t> stage_out;  // rows each stage passed on
+    Row scratch;  // a predicate's input when a projection precedes it
   };
 
   void SubmitUpTo(size_t limit);
@@ -110,6 +119,11 @@ class MorselScanDriver {
   size_t morsel_count_ = 0;
   size_t window_ = 2;
   std::vector<uint64_t> vstarts_;  // virtual row offset of each scan block
+  // Block-row columns each stage's input is made of, composed over the
+  // projections below it (nullopt: the whole block row), and the same for
+  // the chain's output.
+  std::vector<std::optional<std::vector<size_t>>> stage_cols_;
+  std::optional<std::vector<size_t>> out_cols_;
 
   std::vector<MorselResult> results_;
   std::mutex mu_;

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -45,19 +46,33 @@ const char kJoinSql[] =
     "SELECT * FROM orders JOIN lineitem "
     "ON orders.orderkey = lineitem.orderkey WHERE totalprice > 100000.0";
 
+// A join on two low-cardinality columns (millions of output rows): long
+// enough to hold a later statement in the admission queue until it is
+// cancelled.
+const char kBlockerSql[] =
+    "SELECT COUNT(*) FROM lineitem JOIN orders "
+    "ON orders.orderpriority = lineitem.linenumber";
+
 TEST_F(ServiceEventLoopTest, WatchersOfOneCadenceClassShareSerializations) {
   QpiServer::Options options;
-  options.max_inflight = 2;
+  options.max_inflight = 1;
   options.exec_workers = 2;
   options.publish_interval = 256;
   auto server = StartServer(options);
 
+  // The watched join runs in a few milliseconds, which can be less than
+  // eight watchers need to connect on a loaded host. Queue it behind a
+  // long blocker and start it only once every watcher is attached, so the
+  // watchers always share a stream.
   QpiClient submitter;
   ASSERT_TRUE(submitter.Connect("127.0.0.1", server->port()).ok());
+  uint64_t blocker = 0;
+  ASSERT_TRUE(submitter.Submit(kBlockerSql, &blocker).ok());
   uint64_t id = 0;
   ASSERT_TRUE(submitter.Submit(kJoinSql, &id).ok());
 
   constexpr int kWatchers = 8;
+  std::atomic<int> attached{0};
   std::vector<std::thread> threads;
   std::vector<std::string> failures(kWatchers);
   for (int w = 0; w < kWatchers; ++w) {
@@ -66,7 +81,14 @@ TEST_F(ServiceEventLoopTest, WatchersOfOneCadenceClassShareSerializations) {
       Status s = watcher.Connect("127.0.0.1", server->port());
       if (s.ok()) {
         WireSnapshot final_snap;
-        s = watcher.Watch(id, 5, nullptr, &final_snap);
+        bool first = true;
+        s = watcher.Watch(
+            id, 5,
+            [&](const WireSnapshot&) {
+              if (first) attached.fetch_add(1);
+              first = false;
+            },
+            &final_snap);
         if (s.ok() && !final_snap.final_snapshot) {
           s = Status::Internal("stream ended without a terminal snapshot");
         }
@@ -75,6 +97,13 @@ TEST_F(ServiceEventLoopTest, WatchersOfOneCadenceClassShareSerializations) {
       watcher.Quit();
     });
   }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (attached.load() < kWatchers &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(attached.load(), kWatchers);
+  ASSERT_TRUE(submitter.Cancel(blocker).ok());
   for (std::thread& thread : threads) thread.join();
   for (const std::string& failure : failures) EXPECT_EQ(failure, "");
 

@@ -37,7 +37,7 @@ const Dataset& GetDataset(int sf_permille) {
 
 /// state.range(0) = SF in permille; state.range(1) = sample size in
 /// percent; state.range(2) = estimation on/off; state.range(3) = batch
-/// size (1 = the old row-at-a-time tick granularity). The scan order (and
+/// size (1 = one tick per tuple). The scan order (and
 /// thus the sort/partition cost) is held identical within a (SF, sample,
 /// batch) triple so the on/off delta isolates the estimation framework's
 /// cost, as in the paper's Table 3.

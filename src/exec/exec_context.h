@@ -62,11 +62,9 @@ const char* QueryPhaseName(QueryPhase phase);
 
 /// \brief Receives the engine's progress ticks.
 ///
-/// One OnTick(n) arrives per emitted batch with n = the batch's row count
-/// (n == 1 per tuple on the row path), replacing the former per-tuple
-/// `std::function<void()>` indirection: observers are registered once and
-/// invoked through a devirtualizable interface, and a batch of 1024 rows
-/// costs one call instead of 1024.
+/// One OnTick(n) arrives per emitted batch with n = the batch's row count:
+/// observers are registered once and invoked through a devirtualizable
+/// interface, and a batch of 1024 rows costs one call instead of 1024.
 class TickObserver {
  public:
   virtual ~TickObserver() = default;
@@ -164,10 +162,9 @@ struct ExecContext {
   /// optional base-table statistics) instead of uniform interpolation.
   bool use_column_histograms = false;
 
-  /// Rows per RowBatch on the batch execution path. 1 degenerates to exact
-  /// row-at-a-time tick granularity (every internal intake loop sizes its
-  /// batches from this, so estimator freeze points and monitor snapshots
-  /// land on the same tuples as the pre-batch engine).
+  /// Rows per RowBatch. Every internal intake loop sizes its batches from
+  /// this; 1 gives tuple-exact tick granularity, so monitor snapshots land
+  /// on every tuple (estimator freeze points do not depend on it).
   size_t batch_size = 1024;
 
   /// Online-aggregation options (src/ola). Defaults to disabled, in which
@@ -176,13 +173,14 @@ struct ExecContext {
 
   Pcg32 rng{0x5eed5eedULL};
 
-  /// Check the knobs that would otherwise produce undefined looping at
-  /// execution time: a batch_size of 0 makes every NextBatch return an
-  /// empty (= end-of-stream) batch and a morsel_rows of 0 would spin the
-  /// morsel cursor forever. Called by the executors before Open; service
-  /// submissions surface the error on the wire instead of wedging a
-  /// worker. (hash_join_partitions == 0 is rejected separately at operator
-  /// Open, where the power-of-two normalization lives.)
+  /// Reject knob values with no meaning: a batch_size or morsel_rows of 0
+  /// (RowBatch and the morsel driver clamp these to 1, so they cannot
+  /// loop), and an exec_workers of 0 or above kMaxExecWorkers (a query
+  /// with exec_workers > 1 may start a private fleet of that many
+  /// threads). Called by every executor before Open; service submissions
+  /// surface the error on the wire. (hash_join_partitions == 0 is rejected
+  /// separately at operator Open, where the power-of-two normalization
+  /// lives.)
   Status Validate() const {
     if (batch_size == 0) {
       return Status::InvalidArgument("batch_size must be >= 1");
@@ -238,10 +236,10 @@ struct ExecContext {
   }
 
   /// Marks the execution window during which the observer list is frozen.
-  /// Called by QueryExecutor::Run and the concurrent executor's worker;
-  /// manual row-at-a-time drivers may skip it (they lose the lifecycle
-  /// check, nothing else). BeginExecution also clears tick shards left by
-  /// a cancelled previous run.
+  /// Called by QueryExecutor::Run (which the concurrent executor and the
+  /// server drive) and by MultiQueryExecutor around each entry's run.
+  /// BeginExecution also clears tick shards left by a cancelled previous
+  /// run.
   void BeginExecution() {
     DrainConcurrentTicks();
     phase_.store(QueryPhase::kRunning, std::memory_order_relaxed);
@@ -269,7 +267,7 @@ struct ExecContext {
   }
 
   /// Deliver `n` getnext ticks to the observers. Called only from the
-  /// query's driving thread (every Operator::Next/NextBatch wrapper runs
+  /// query's driving thread (every Operator::NextBatch wrapper runs
   /// there); ticks banked by parallel workers via TickConcurrent are
   /// folded into this delivery, so observers always run single-threaded.
   void Tick(uint64_t n) {

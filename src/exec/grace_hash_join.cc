@@ -249,8 +249,7 @@ void GraceHashJoinOp::RunProbePartitionPhase() {
 
     // The estimation window: refine while the probe stream is still a
     // random prefix, freeze the moment it stops being one (Section 4.4).
-    // The batch's random_run marks the same per-tuple boundary the row
-    // path found via probe_child()->ProducesRandomStream().
+    // The batch's random_run marks the per-tuple boundary.
     size_t run = static_cast<size_t>(batch.random_run());
     if (run > n) run = n;
     if (once_ != nullptr && !once_->frozen()) {
@@ -281,20 +280,10 @@ void GraceHashJoinOp::PreparePartitions() {
   phase_ = Phase::kJoin;
 }
 
-bool GraceHashJoinOp::NextImpl(Row* out) {
-  PreparePartitions();
-  if (phase_ == Phase::kJoin) {
-    if (AdvanceJoin(out)) return true;
-    phase_ = Phase::kDone;
-  }
-  return false;
-}
-
 void GraceHashJoinOp::StartParallelJoin() {
   parallel_join_ = true;
   join_abort_.store(false, std::memory_order_relaxed);
-  part_results_.clear();
-  part_results_.resize(num_partitions_);
+  std::vector<PartitionResult>(num_partitions_).swap(part_results_);
   // In-flight memory is bounded by the submission window, like the morsel
   // driver's: at most ~2·workers+2 partitions run ahead of the merge
   // cursor, and the merge drains each partition's batches while it is
@@ -344,137 +333,108 @@ std::unique_ptr<RowBatch> GraceHashJoinOp::AcquireJoinBatch() {
   return std::make_unique<RowBatch>(ctx_->batch_size);
 }
 
-void GraceHashJoinOp::RunJoinChunk(size_t part) {
-  PartitionResult& result = part_results_[part];
+bool GraceHashJoinOp::JoinRows(size_t part, RowBatch* out,
+                               uint64_t* consumed) {
+  JoinCursor& cursor = join_cursors_[part];
   const Partition& build = build_parts_[part];
   const Partition& probe = probe_parts_[part];
-  // Resume the in-progress output batch saved by the previous chunk; a
-  // batch is only acquired once there is a row to put in it.
-  std::unique_ptr<RowBatch> batch = std::move(result.partial);
-  uint64_t local_consumed = 0;
-  // Set by flush when `ready` reaches the cap; checked between probe rows
-  // so the chunk pauses instead of materializing an unbounded backlog.
-  bool at_cap = false;
-
-  // Flush emitted-count and driver-consumption *before* publishing the
-  // batch, so a monitor never sees more output than accounted input.
-  // Publication is a bounded-time push under join_mu_ — never a wait on
-  // the consumer — which keeps the subtask-never-blocks contract the
-  // fleet's helping protocol relies on, while letting the merge drain
-  // this partition concurrently with its production.
-  auto flush = [&] {
-    if (batch == nullptr || batch->empty()) return;
-    CountEmitted(batch->size());
-    join_driver_consumed_.fetch_add(local_consumed, std::memory_order_relaxed);
-    local_consumed = 0;
-    {
-      std::lock_guard<std::mutex> lock(join_mu_);
-      result.ready.push_back(std::move(batch));
-      at_cap = result.ready.size() >= kJoinReadyCap;
-    }
-    // The merge driver is the only join_cv_ waiter.
-    join_cv_.notify_one();
-  };
-  auto next_slot = [&] {
-    if (batch == nullptr) batch = AcquireJoinBatch();
-    return batch->NextSlot();
-  };
-  auto commit = [&] {
-    batch->CommitSlot();
-    if (batch->full()) flush();
-  };
-
-  bool aborted =
-      join_abort_.load(std::memory_order_relaxed) || ctx_->IsCancelled();
-  if (!aborted) {
-    if (!result.index_built) {
-      BuildIndex(build, &result.index);
-      result.index_built = true;
-    }
-    const PartitionIndex& index = result.index;
-    for (size_t pi = result.resume_pi; pi < probe.rows.size(); ++pi) {
-      if (at_cap) {
-        // Re-check under the lock — the merge driver may have drained the
-        // queue since the flush that tripped the cap, in which case the
-        // chunk keeps producing instead of paying a stall round-trip.
-        {
-          std::lock_guard<std::mutex> lock(join_mu_);
-          if (result.ready.size() < kJoinReadyCap) at_cap = false;
-        }
-        if (at_cap) {
-          // Pause: hand the resume point and the partial batch back to
-          // the partition slot, *then* publish kStalled — the next runner
-          // only reads the resume state after observing kQueued under
-          // join_mu_, so the mutex chain orders the handoff.
-          if (local_consumed != 0) {
-            join_driver_consumed_.fetch_add(local_consumed,
-                                            std::memory_order_relaxed);
-          }
-          result.resume_pi = pi;
-          result.partial = std::move(batch);
-          {
-            std::lock_guard<std::mutex> lock(join_mu_);
-            result.state = PartitionResult::State::kStalled;
-          }
-          join_cv_.notify_one();
-          return;
-        }
-      }
-      if ((pi & 1023u) == 0 &&
-          (join_abort_.load(std::memory_order_relaxed) ||
-           ctx_->IsCancelled())) {
-        break;
-      }
-      ++local_consumed;
-      uint32_t match = FirstMatch(build, index, probe, pi);
-      if (join_type_ == JoinFlavor::kSemi || join_type_ == JoinFlavor::kAnti) {
+  if (!cursor.index_built) {
+    BuildIndex(build, &cursor.index);
+    cursor.index_built = true;
+  }
+  const PartitionIndex& index = cursor.index;
+  bool semi_or_anti =
+      join_type_ == JoinFlavor::kSemi || join_type_ == JoinFlavor::kAnti;
+  size_t pi = cursor.probe_row;
+  uint32_t match = cursor.match;
+  for (; pi < probe.rows.size(); ++pi) {
+    if (match == kNoRow) {
+      if (out->full()) break;
+      ++*consumed;
+      match = FirstMatch(build, index, probe, pi);
+      if (semi_or_anti) {
         if ((match != kNoRow) == (join_type_ == JoinFlavor::kSemi)) {
-          probe.rows.Gather(pi, next_slot());
-          commit();
+          probe.rows.Gather(pi, out->NextSlot());
+          out->CommitSlot();
         }
+        match = kNoRow;
         continue;
       }
       if (match == kNoRow) {
         if (join_type_ == JoinFlavor::kProbeOuter) {
-          GatherJoined(build, kNoRow, probe, pi, next_slot());
-          commit();
+          GatherJoined(build, kNoRow, probe, pi, out->NextSlot());
+          out->CommitSlot();
         }
         continue;
       }
-      for (; match != kNoRow;
-           match = NextMatch(build, index, index.next[match], probe, pi)) {
-        GatherJoined(build, match, probe, pi, next_slot());
-        commit();
+    }
+    for (; match != kNoRow;
+         match = NextMatch(build, index, index.next[match], probe, pi)) {
+      if (out->full()) break;
+      GatherJoined(build, match, probe, pi, out->NextSlot());
+      out->CommitSlot();
+    }
+    if (match != kNoRow) break;  // `out` filled inside the match chain
+  }
+  cursor.probe_row = pi;
+  cursor.match = match;
+  if (pi < probe.rows.size()) return false;
+  cursor.index = PartitionIndex();  // dead weight once the partition is done
+  return true;
+}
+
+void GraceHashJoinOp::RunJoinChunk(size_t part) {
+  PartitionResult& result = part_results_[part];
+  using State = PartitionResult::State;
+  State next = State::kRunning;
+  while (next == State::kRunning) {
+    std::unique_ptr<RowBatch> batch;
+    bool done =
+        join_abort_.load(std::memory_order_relaxed) || ctx_->IsCancelled();
+    if (!done) {
+      batch = AcquireJoinBatch();
+      uint64_t consumed = 0;
+      done = JoinRows(part, batch.get(), &consumed);
+      // Account emitted rows and driver consumption *before* publishing
+      // the batch, so a monitor never sees more output than accounted
+      // input.
+      CountEmitted(batch->size());
+      join_driver_consumed_.fetch_add(consumed, std::memory_order_relaxed);
+    }
+    // Publication is a bounded-time push under join_mu_ — never a wait on
+    // the consumer — which keeps the subtask-never-blocks contract the
+    // fleet's helping protocol relies on, while letting the merge drain
+    // this partition concurrently with its production. At the ready cap
+    // the chunk pauses (kStalled) with its JoinCursor saved; the
+    // next runner reads that cursor only after observing kQueued under
+    // join_mu_, so the mutex chain orders the handoff.
+    {
+      std::lock_guard<std::mutex> lock(join_mu_);
+      if (batch != nullptr && !batch->empty()) {
+        result.ready.push_back(std::move(batch));
+      } else if (batch != nullptr) {
+        join_free_batches_.push_back(std::move(batch));
       }
+      if (done) {
+        next = State::kDone;
+      } else if (result.ready.size() >= kJoinReadyCap) {
+        next = State::kStalled;
+      }
+      result.state = next;
     }
+    // The merge driver is the only join_cv_ waiter.
+    join_cv_.notify_one();
   }
-  flush();
-  if (local_consumed != 0) {
-    join_driver_consumed_.fetch_add(local_consumed, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<std::mutex> lock(join_mu_);
-    result.state = PartitionResult::State::kDone;
-    // The index is dead weight once the partition is exhausted; a batch
-    // left over by an aborted chunk goes back to the free list.
-    result.index = PartitionIndex();
-    if (batch != nullptr) {
-      batch->Clear();
-      join_free_batches_.push_back(std::move(batch));
-    }
-  }
-  join_cv_.notify_one();
 }
 
 void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
   PreparePartitions();
   if (phase_ != Phase::kJoin) return;
-  // Launch the parallel join on the first batch request (also after an
-  // explicit PreparePartitions), but never once the sequential cursor has
-  // advanced — a row-path caller may already own join-phase state.
-  if (!parallel_join_ && ctx_ != nullptr && ctx_->exec_workers > 1 &&
-      current_part_ == 0 && !part_index_built_) {
-    StartParallelJoin();
+  if (join_cursors_.empty()) {
+    // First batch request of the join phase (also after an explicit
+    // PreparePartitions).
+    join_cursors_.resize(num_partitions_);
+    if (ctx_->exec_workers > 1) StartParallelJoin();
   }
   if (parallel_join_) {
     // Merge published batches in partition-index order — each drained as
@@ -482,7 +442,7 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
     // one batch per running subtask. Rows are swapped, not moved, into
     // `out`: the drained batch returns to the free list holding the
     // caller's previous row storage, so neither side reallocates. The
-    // subtasks already advanced `emitted_` when they flushed, so the merge
+    // subtasks already advanced `emitted_` when they published, so the merge
     // must not count again. The wrapper's Tick(out->size()) still delivers
     // the progress ticks for these rows on the driving thread.
     while (!out->full()) {
@@ -553,64 +513,17 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
     }
     return;
   }
-  while (!out->full()) {
-    Row* slot = out->NextSlot();
-    if (!AdvanceJoin(slot)) {
-      phase_ = Phase::kDone;
-      break;
-    }
-    out->CommitSlot();
+  // exec_workers <= 1: the same partition walk runs inline on the driving
+  // thread, writing straight into `out` and pausing when it is full — no
+  // scheduler, task group or output-batch pool.
+  uint64_t consumed = 0;
+  while (join_emit_part_ < num_partitions_ &&
+         JoinRows(join_emit_part_, out, &consumed)) {
+    ++join_emit_part_;
   }
+  join_driver_consumed_.fetch_add(consumed, std::memory_order_relaxed);
   CountEmitted(out->size());
-}
-
-bool GraceHashJoinOp::AdvanceJoin(Row* out) {
-  QPI_CHECK(!parallel_join_ &&
-            "row-at-a-time join cursor used while the parallel join phase "
-            "owns the partitions");
-  while (current_part_ < num_partitions_) {
-    const Partition& build = build_parts_[current_part_];
-    const Partition& probe = probe_parts_[current_part_];
-    if (!part_index_built_) {
-      BuildIndex(build, &part_index_);
-      probe_row_idx_ = 0;
-      match_pos_ = kNoRow;
-      part_index_built_ = true;
-    }
-    while (probe_row_idx_ < probe.rows.size()) {
-      size_t pi = probe_row_idx_;
-      if (match_pos_ == kNoRow) {
-        join_driver_consumed_.fetch_add(1, std::memory_order_relaxed);
-        uint32_t match = FirstMatch(build, part_index_, probe, pi);
-        if (join_type_ == JoinFlavor::kSemi ||
-            join_type_ == JoinFlavor::kAnti) {
-          ++probe_row_idx_;
-          if ((match != kNoRow) == (join_type_ == JoinFlavor::kSemi)) {
-            probe.rows.Gather(pi, out);
-            return true;
-          }
-          continue;
-        }
-        if (match == kNoRow) {
-          ++probe_row_idx_;
-          if (join_type_ == JoinFlavor::kProbeOuter) {
-            GatherJoined(build, kNoRow, probe, pi, out);
-            return true;
-          }
-          continue;
-        }
-        match_pos_ = match;
-      }
-      GatherJoined(build, match_pos_, probe, pi, out);
-      match_pos_ = NextMatch(build, part_index_, part_index_.next[match_pos_],
-                             probe, pi);
-      if (match_pos_ == kNoRow) ++probe_row_idx_;
-      return true;
-    }
-    ++current_part_;
-    part_index_built_ = false;
-  }
-  return false;
+  if (join_emit_part_ >= num_partitions_) phase_ = Phase::kDone;
 }
 
 void GraceHashJoinOp::CloseImpl() {
@@ -629,11 +542,11 @@ void GraceHashJoinOp::CloseImpl() {
   join_emit_row_ = 0;
   // Swap with empty containers rather than clear(), which keeps capacity:
   // a server retains every finished query's operator tree.
+  std::vector<JoinCursor>().swap(join_cursors_);
   std::vector<PartitionResult>().swap(part_results_);
   std::vector<std::unique_ptr<RowBatch>>().swap(join_free_batches_);
   std::vector<Partition>().swap(build_parts_);
   std::vector<Partition>().swap(probe_parts_);
-  part_index_ = PartitionIndex();
 }
 
 double GraceHashJoinOp::DneEstimate() const {

@@ -32,10 +32,14 @@ class TaskScheduler;
 ///     partitioned. This is the paper's estimation window: each probe key
 ///     refines D_t, which is exact by the end of the phase, *before any
 ///     join output exists*.
-///  3. **Join** — partitions are joined pairwise. The probe side is
-///     re-read clustered by partition, which is precisely the reordering
-///     that makes the dne/byte baselines (whose driver consumption is
-///     measured here, as in the original systems) fluctuate under skew.
+///  3. **Join** — partitions are joined pairwise, in partition-index
+///     order. The probe side is re-read clustered by partition, which is
+///     precisely the reordering that makes the dne/byte baselines (whose
+///     driver consumption is measured here, as in the original systems)
+///     fluctuate under skew. One routine, JoinRows, joins a partition into
+///     a batch and pauses when the batch is full; with exec_workers <= 1
+///     it runs inline on the driving thread, otherwise as scheduler
+///     subtasks whose batches the driving thread merges back in order.
 ///
 /// children[0] is the build input, children[1] the probe input.
 class GraceHashJoinOp : public Operator {
@@ -78,7 +82,7 @@ class GraceHashJoinOp : public Operator {
   size_t num_partitions() const { return num_partitions_; }
 
   /// Run the (sequential, ONCE-instrumented) build and probe-partition
-  /// phases now, leaving only the join phase for Next/NextBatch. No-op if
+  /// phases now, leaving only the join phase for NextBatch. No-op if
   /// the phases already ran. Benches use this to time the join phase in
   /// isolation; parallel join workers are only launched by the first
   /// NextBatch, so the timed region includes their whole lifetime.
@@ -110,7 +114,6 @@ class GraceHashJoinOp : public Operator {
 
  protected:
   Status OpenImpl() override;
-  bool NextImpl(Row* out) override;
   void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
@@ -135,31 +138,48 @@ class GraceHashJoinOp : public Operator {
   };
   static constexpr uint32_t kNoRow = UINT32_MAX;
 
+  /// Where a partition's join resumes. Owned by whoever runs JoinRows on
+  /// the partition; in the parallel join, runners hand it over through
+  /// the join_mu_ state transitions of the partition's PartitionResult.
+  struct JoinCursor {
+    PartitionIndex index;
+    bool index_built = false;
+    size_t probe_row = 0;  ///< probe row to (re)start at
+    /// Next build row matching probe_row; kNoRow: probe_row not started.
+    uint32_t match = kNoRow;
+  };
+
   void RunBuildPhase();
   void RunProbePartitionPhase();
-  bool AdvanceJoin(Row* out);
+
+  /// Join partition `part` from its resume cursor into `out` (appending)
+  /// until the partition is exhausted (true; its index is released) or
+  /// `out` is full (false; the cursor is saved, possibly mid match chain).
+  /// A probe row counts as consumed when the join starts on it, which
+  /// never happens while `out` is full; `*consumed` is advanced by the
+  /// rows started. Builds the partition's index on first entry.
+  bool JoinRows(size_t part, RowBatch* out, uint64_t* consumed);
 
   /// Fan the partition pairs out as subtasks on the query's TaskScheduler
-  /// (batch path with ctx->exec_workers > 1), at most `join_window_`
-  /// partitions ahead of the merge cursor. Each subtask joins one
-  /// partition, publishing every completed output batch under `join_mu_`
-  /// as it is produced — a bounded-time push, never a blocking wait, which
-  /// is what lets any blocked waiter help the fleet (see task_scheduler.h)
-  /// — and the driving thread merges batches **in partition-index order**
-  /// in NextBatchImpl, draining a partition concurrently with its
-  /// production (so a skew-heavy partition's output streams through
-  /// instead of materializing wholesale). Partition order is exactly the
-  /// sequential join cursor's order, so the emitted stream is
-  /// bit-identical to the sequential engine at any worker count; gnm
+  /// (ctx->exec_workers > 1), at most `join_window_` partitions ahead of
+  /// the merge cursor. Each subtask joins one partition, publishing every
+  /// completed output batch under `join_mu_` as it is produced — a
+  /// bounded-time push, never a blocking wait, which is what lets any
+  /// blocked waiter help the fleet (see task_scheduler.h) — and the
+  /// driving thread merges batches **in partition-index order** in
+  /// NextBatchImpl, draining a partition concurrently with its production
+  /// (so a skew-heavy partition's output streams through instead of
+  /// materializing wholesale). That is the inline join's order, so the
+  /// emitted stream is bit-identical to it at any worker count; gnm
   /// counters were already order-invariant, and the join phase performs
   /// no estimator observation.
   void StartParallelJoin();
   void SubmitJoinUpTo(size_t limit);
   void JoinPartitionTask(size_t part);
-  /// One bounded chunk of partition `part`'s join: probes until the
-  /// partition is exhausted (-> kDone) or kJoinReadyCap batches wait
-  /// unmerged (-> kStalled, resume state saved). Called with the
-  /// partition in state kRunning.
+  /// One bounded chunk of partition `part`'s join: JoinRows into
+  /// published batches until the partition is exhausted (-> kDone) or
+  /// kJoinReadyCap batches wait unmerged (-> kStalled, cursor saved).
+  /// Called with the partition in state kRunning.
   void RunJoinChunk(size_t part);
   /// A cleared output batch from the free list, or a new one.
   std::unique_ptr<RowBatch> AcquireJoinBatch();
@@ -174,7 +194,7 @@ class GraceHashJoinOp : public Operator {
   uint64_t BuildKeyCode(const Row& row) const;
   uint64_t ProbeKeyCode(const Row& row) const;
 
-  // The partition index and the one bucket walk both join paths use.
+  // The partition index and its bucket walk.
   void BuildIndex(const Partition& build, PartitionIndex* index) const;
   bool KeysEqual(const Partition& build, size_t bi, const Partition& probe,
                  size_t pi) const;
@@ -198,19 +218,15 @@ class GraceHashJoinOp : public Operator {
   std::vector<Partition> build_parts_;
   std::vector<Partition> probe_parts_;
 
-  // Join-phase cursor.
-  size_t current_part_ = 0;
-  bool part_index_built_ = false;
-  PartitionIndex part_index_;
-  size_t probe_row_idx_ = 0;
-  // Next build row matching probe_row_idx_; kNoRow: probe that row next.
-  uint32_t match_pos_ = kNoRow;
-
   uint64_t build_rows_ = 0;
   uint64_t probe_partition_consumed_ = 0;
-  // Advanced by parallel join workers (batched flushes) as well as the
-  // sequential join cursor; read by monitor-thread estimates.
+  // Advanced by the inline join once per batch and by parallel join
+  // workers once per published batch; read by monitor-thread estimates.
   std::atomic<uint64_t> join_driver_consumed_{0};
+
+  // One resume cursor per partition, created by the join phase's first
+  // NextBatch.
+  std::vector<JoinCursor> join_cursors_;
 
   // Parallel join phase (see StartParallelJoin). A partition's output is
   // produced in bounded chunks: its runner pauses (returns to the fleet,
@@ -232,12 +248,6 @@ class GraceHashJoinOp : public Operator {
     /// Produced, not yet merged (join_mu_).
     std::deque<std::unique_ptr<RowBatch>> ready;
     State state = State::kQueued;   ///< guarded by join_mu_
-    // Chunk-resume state, owned by the current runner (handed off through
-    // the join_mu_ state transitions above).
-    PartitionIndex index;
-    bool index_built = false;
-    size_t resume_pi = 0;    ///< next probe row index
-    std::unique_ptr<RowBatch> partial;  ///< output batch across chunks
   };
   static constexpr size_t kJoinReadyCap = 16;
   std::vector<PartitionResult> part_results_;
@@ -249,7 +259,8 @@ class GraceHashJoinOp : public Operator {
   bool parallel_join_ = false;
   size_t join_window_ = 0;     // partitions in flight past the merge cursor
   size_t join_submitted_ = 0;  // partitions handed to the scheduler
-  size_t join_emit_part_ = 0;  // merge cursor (driving thread only)
+  // Partition being joined inline or merged (driving thread only).
+  size_t join_emit_part_ = 0;
   // Batch being merged (driving thread only).
   std::unique_ptr<RowBatch> join_merge_batch_;
   size_t join_emit_row_ = 0;

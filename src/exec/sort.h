@@ -27,7 +27,7 @@ class SortOp : public Operator {
   }
 
  protected:
-  bool NextImpl(Row* out) override;
+  void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
  private:
@@ -74,7 +74,8 @@ class NestedLoopsJoinOp : public Operator {
   }
 
  protected:
-  bool NextImpl(Row* out) override;
+  Status OpenImpl() override;
+  void NextBatchImpl(RowBatch* out) override;
   void CloseImpl() override;
 
  private:
@@ -86,7 +87,10 @@ class NestedLoopsJoinOp : public Operator {
 
   std::vector<Row> inner_rows_;
   bool inner_materialized_ = false;
-  Row current_outer_;
+  // Outer input batch; outer_pos_ is the next unread row, and while
+  // have_outer_ the row before it is the one being joined.
+  RowBatch outer_;
+  size_t outer_pos_ = 0;
   bool have_outer_ = false;
   size_t inner_pos_ = 0;
   uint64_t outer_consumed_ = 0;

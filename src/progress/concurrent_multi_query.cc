@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/task_scheduler.h"
+#include "exec/executor.h"
 
 namespace qpi {
 
@@ -35,7 +36,7 @@ namespace {
 
 /// Publishes a full snapshot from the executing worker whenever the tick
 /// count crosses a publish_interval boundary. Ticks arrive in batch-sized
-/// jumps, so the crossing check replaces the row path's modulo (the
+/// jumps, so the check is a crossing rather than a modulo (the
 /// publication lag is bounded by one batch).
 class SlotPublisher : public TickObserver {
  public:
@@ -65,17 +66,11 @@ void ConcurrentMultiQueryExecutor::RunOne(Entry* entry) {
   SlotPublisher publisher(entry, options_.publish_interval);
   entry->ctx->AddTickObserver(&publisher);
 
-  Status s = entry->root->Open(entry->ctx.get());
-  if (s.ok()) {
-    entry->ctx->BeginExecution();
-    RowBatch batch(entry->ctx->batch_size);
-    while (entry->root->NextBatch(&batch)) {
-      entry->rows_emitted.fetch_add(batch.size(), std::memory_order_relaxed);
-    }
-    entry->root->Close();
-    entry->ctx->EndExecution();
-  }
-  entry->status = std::move(s);
+  entry->status = QueryExecutor::Run(
+      entry->root.get(), entry->ctx.get(), nullptr, nullptr,
+      [entry](const RowBatch& batch) {
+        entry->rows_emitted.fetch_add(batch.size(), std::memory_order_relaxed);
+      });
   entry->ctx->RemoveTickObserver(&publisher);
   // Terminal snapshot: every operator is finished (or cancelled into the
   // finished state), so T̂ equals C and estimated progress is exactly 1.

@@ -9,6 +9,7 @@ Status MultiQueryExecutor::Add(std::string name, OperatorPtr root,
   if (root == nullptr || ctx == nullptr) {
     return Status::InvalidArgument("multi-query entry needs root and context");
   }
+  QPI_RETURN_NOT_OK(ctx->Validate());
   auto entry = std::make_unique<Entry>();
   entry->name = std::move(name);
   entry->root = std::move(root);
@@ -28,16 +29,22 @@ Status MultiQueryExecutor::Step(size_t index, uint64_t quantum,
   }
   if (!entry.opened) {
     QPI_RETURN_NOT_OK(entry.root->Open(entry.ctx.get()));
+    entry.ctx->BeginExecution();
     entry.opened = true;
   }
-  Row row;
-  for (uint64_t i = 0; i < quantum; ++i) {
-    if (!entry.root->Next(&row)) {
+  // A short batch is followed by a request for the remainder, so a query
+  // whose stream ends inside the quantum finishes in this step.
+  uint64_t left = quantum;
+  while (left > 0) {
+    RowBatch batch(left);
+    if (!entry.root->NextBatch(&batch)) {
       entry.root->Close();
+      entry.ctx->EndExecution();
       entry.done = true;
       break;
     }
-    ++entry.rows_emitted;
+    entry.rows_emitted += batch.size();
+    left -= batch.size();
   }
   if (has_more != nullptr) *has_more = !entry.done;
   return Status::OK();

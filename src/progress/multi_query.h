@@ -16,17 +16,19 @@ namespace qpi {
 /// (Luo et al.'s follow-up [19]).
 ///
 /// Queries are registered with their own ExecContext (mode, sampling) and
-/// driven round-robin in quanta of root getnext() calls, simulating the
-/// concurrent workloads a DBA monitors. Per-query progress is each query's
-/// C(Q)/T̂(Q); combined progress weights every query by its (estimated)
-/// total work: Σ C_i / Σ T̂_i.
+/// driven round-robin, one root batch of `quantum` rows per step,
+/// simulating the concurrent workloads a DBA monitors. Per-query progress
+/// is each query's C(Q)/T̂(Q); combined progress weights every query by its
+/// (estimated) total work: Σ C_i / Σ T̂_i.
 class MultiQueryExecutor {
  public:
   /// One query's slot.
   struct Entry {
     std::string name;
-    OperatorPtr root;
+    // Declared before `root`: the context and any fleet it owns must
+    // outlive the operators (see ExecContext::scheduler()).
     std::unique_ptr<ExecContext> ctx;
+    OperatorPtr root;
     std::unique_ptr<GnmAccountant> accountant;
     uint64_t rows_emitted = 0;
     bool opened = false;
@@ -34,12 +36,17 @@ class MultiQueryExecutor {
   };
 
   /// Register a query (takes ownership of the operator tree and context).
-  /// The context's catalog must outlive the executor.
+  /// The context's catalog must outlive the executor. Rejects a context
+  /// that fails ExecContext::Validate(): with exec_workers > 1 the entry
+  /// fans out on the context's scheduler, a private fleet of that many
+  /// threads unless one is attached.
   Status Add(std::string name, OperatorPtr root,
              std::unique_ptr<ExecContext> ctx);
 
-  /// Advance query `index` by up to `quantum` root getnext() calls.
-  /// Returns true if that query still has work left.
+  /// Advance query `index` by up to `quantum` root output rows, inside
+  /// its context's BeginExecution()/EndExecution() window (opened by the
+  /// first Step, closed when the query finishes). Sets *has_more if that
+  /// query still has work left.
   Status Step(size_t index, uint64_t quantum, bool* has_more);
 
   /// Round-robin all unfinished queries until completion, taking a

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "exec/compiler.h"
+#include "exec/executor.h"
 #include "progress/accuracy_audit.h"
 #include "progress/snapshot_json.h"
 #include "service/metrics_text.h"
@@ -553,16 +554,12 @@ void QpiServer::RunOne(QueryHandle* handle) {
                            handle->ensemble.get());
   if (handle->ola != nullptr) publisher.set_ola_feed(handle->ola.get());
   handle->ctx->AddTickObserver(&publisher);
-  Status s = handle->root->Open(handle->ctx.get());
-  if (s.ok()) {
-    handle->ctx->BeginExecution();
-    RowBatch batch(handle->ctx->batch_size);
-    while (handle->root->NextBatch(&batch)) {
-      handle->rows_emitted.fetch_add(batch.size(), std::memory_order_relaxed);
-    }
-    handle->root->Close();
-    handle->ctx->EndExecution();
-  }
+  Status s = QueryExecutor::Run(
+      handle->root.get(), handle->ctx.get(), nullptr, nullptr,
+      [handle](const RowBatch& batch) {
+        handle->rows_emitted.fetch_add(batch.size(),
+                                       std::memory_order_relaxed);
+      });
   handle->ctx->RemoveTickObserver(&publisher);
   handle->ticks = publisher.ticks();
   metrics_.trace_samples->Increment(publisher.samples_offered() + 1);

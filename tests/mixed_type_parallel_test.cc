@@ -5,11 +5,11 @@
 // (equal to 0 and to integer 0) and NaN, and empty, short and long
 // (>15-char, heap-allocated) strings.
 //
-// Each shape runs on the batch path at workers {1, 4} × batch {1, 1024}
-// and on the row-at-a-time path. Every run must reproduce the
-// (workers 1, batch 1024) reference exactly: the same rows in the same
-// order compared bit for bit, the same tuples_emitted() and final estimate
-// on every operator, and the same ONCE estimator state. Join results are
+// Each shape runs at workers {1, 4} × batch {1, 1024}. Every run must
+// reproduce the (workers 1, batch 1024) reference exactly: the same rows
+// in the same order compared bit for bit, the same tuples_emitted() and
+// final estimate on every operator, and the same ONCE estimator state.
+// The workers-1 runs take the inline join path. Join results are
 // also checked against a nested-loops oracle that matches rows the way
 // the engine always has: equal key code, then Value::Compare == 0.
 
@@ -243,21 +243,6 @@ RunResult RunBatchPath(const Catalog& catalog, const Shape& shape,
   return Observe(root.get(), rows);
 }
 
-RunResult RunRowPath(const Catalog& catalog, const Shape& shape) {
-  ExecContext ctx;
-  Configure(&ctx, catalog, 1, 1);
-  PlanNodePtr plan = shape.make();
-  OperatorPtr root;
-  Status s = CompilePlan(plan.get(), &ctx, &root);
-  EXPECT_TRUE(s.ok()) << s.ToString();
-  EXPECT_TRUE(root->Open(&ctx).ok());
-  std::vector<Row> rows;
-  Row row;
-  while (root->Next(&row)) rows.push_back(row);
-  root->Close();
-  return Observe(root.get(), rows);
-}
-
 uint64_t KeyCode(const Row& row, const std::vector<size_t>& idx) {
   if (idx.size() == 1) return HistogramKeyCode(row[idx[0]]);
   uint64_t h = kCompositeKeySeed;
@@ -346,8 +331,6 @@ TEST(MixedTypeParallel, PackedPathMatchesReferenceAndOracle) {
         ExpectSameRun(RunBatchPath(catalog, shape, workers, batch), reference);
       }
     }
-    SCOPED_TRACE("row path");
-    ExpectSameRun(RunRowPath(catalog, shape), reference);
   }
 }
 

@@ -89,13 +89,14 @@ TEST(IndexNl, EstimateAvailableMidOuterScanWithinCI) {
   auto* join = dynamic_cast<IndexNestedLoopsJoinOp*>(root.get());
 
   ASSERT_TRUE(root->Open(&fx.ctx).ok());
-  Row row;
+  RowBatch batch(1);
   uint64_t emitted = 0;
   double mid_estimate = 0;
   double mid_ci = 0;
-  // Drain; capture the estimate when 10% of the outer input is consumed.
-  while (root->Next(&row)) {
-    ++emitted;
+  // Drain one row per call; capture the estimate when 10% of the outer
+  // input is consumed.
+  while (root->NextBatch(&batch)) {
+    emitted += batch.size();
     if (join->outer_consumed() == 2000 && mid_estimate == 0) {
       mid_estimate = join->once_estimator()->Estimate();
       mid_ci = join->once_estimator()->ConfidenceHalfWidth();
@@ -163,8 +164,8 @@ TEST(IndexNl, DneEstimateCoincidesWithOnceInExpectation) {
   ASSERT_TRUE(CompilePlan(plan.get(), &fx.ctx, &root).ok());
   auto* join = dynamic_cast<IndexNestedLoopsJoinOp*>(root.get());
   ASSERT_TRUE(root->Open(&fx.ctx).ok());
-  Row row;
-  while (root->Next(&row)) {
+  RowBatch batch(1);
+  while (root->NextBatch(&batch)) {
     if (join->outer_consumed() == 2500) {
       double once_est = join->once_estimator()->Estimate();
       double dne_est = join->DneEstimate();

@@ -32,10 +32,12 @@ class MultiQueryTest : public ::testing::Test {
   }
 
   void AddQuery(MultiQueryExecutor* mq, const std::string& name,
-                PlanNodePtr plan) {
+                PlanNodePtr plan, size_t exec_workers = 1) {
     auto ctx = std::make_unique<ExecContext>();
     ctx->catalog = &catalog_;
     ctx->mode = EstimationMode::kOnce;
+    ctx->exec_workers = exec_workers;
+    ctx->morsel_rows = 256;
     OperatorPtr root;
     ASSERT_TRUE(CompilePlan(plan.get(), ctx.get(), &root).ok());
     ASSERT_TRUE(mq->Add(name, std::move(root), std::move(ctx)).ok());
@@ -158,6 +160,55 @@ TEST_F(MultiQueryTest, AddRejectsNullInputs) {
   MultiQueryExecutor mq;
   EXPECT_EQ(mq.Add("bad", nullptr, nullptr).code(),
             Status::Code::kInvalidArgument);
+}
+
+TEST_F(MultiQueryTest, AddRejectsInvalidContext) {
+  // Add validates the context, so an entry whose exec_workers is out of
+  // range never reaches a Step that could start its fleet.
+  MultiQueryExecutor mq;
+  auto ctx = std::make_unique<ExecContext>();
+  ctx->catalog = &catalog_;
+  ctx->exec_workers = ExecContext::kMaxExecWorkers + 1;
+  PlanNodePtr plan = ScanPlan("c");
+  OperatorPtr root;
+  ASSERT_TRUE(CompilePlan(plan.get(), ctx.get(), &root).ok());
+  EXPECT_EQ(mq.Add("too_wide", std::move(root), std::move(ctx)).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(mq.num_queries(), 0u);
+}
+
+TEST_F(MultiQueryTest, TwoWorkerEntryMatchesOneWorkerEntry) {
+  // A filtered scan (morsel-parallel at two workers) feeding a hash join
+  // (partition-parallel at two workers), interleaved with its one-worker
+  // twin.
+  auto plan = [] {
+    return HashJoinPlan(
+        FilterPlan(ScanPlan("a"),
+                   MakeCompare("k", CompareOp::kLe, Value(int64_t{20}))),
+        ScanPlan("b"), "a.k", "b.k");
+  };
+  MultiQueryExecutor mq;
+  AddQuery(&mq, "w1", plan(), 1);
+  AddQuery(&mq, "w2", plan(), 2);
+  ASSERT_TRUE(mq.RunAll(/*quantum=*/300).ok());
+  ASSERT_TRUE(mq.AllDone());
+  EXPECT_GT(mq.entry(0).rows_emitted, 0u);
+  EXPECT_EQ(mq.entry(1).rows_emitted, mq.entry(0).rows_emitted);
+  EXPECT_EQ(mq.entry(1).accountant->CurrentCalls(),
+            mq.entry(0).accountant->CurrentCalls());
+  EXPECT_DOUBLE_EQ(mq.QueryProgress(1), 1.0);
+}
+
+TEST_F(MultiQueryTest, UnfinishedTwoWorkerEntryIsDestroyedSafely) {
+  // The executor goes away mid-query, with the entry's join subtasks
+  // submitted to the context's private fleet and never closed.
+  MultiQueryExecutor mq;
+  AddQuery(&mq, "w2",
+           HashJoinPlan(ScanPlan("a"), ScanPlan("b"), "a.k", "b.k"), 2);
+  bool more = false;
+  ASSERT_TRUE(mq.Step(0, 10, &more).ok());
+  EXPECT_TRUE(more);
+  EXPECT_EQ(mq.entry(0).rows_emitted, 10u);
 }
 
 TEST_F(MultiQueryTest, FinishedQueryStepIsNoOp) {

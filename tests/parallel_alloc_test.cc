@@ -1,15 +1,18 @@
-// Steady-state allocation check for the intra-query parallel data path:
-// once warm, a join chunk or a morsel allocates nothing per row. This
-// binary replaces the global operator new with a counting one, runs the
-// same query at two input sizes 4x apart, and compares the allocations
-// made while (a) the partition-parallel join phase drains and (b) a
+// Steady-state allocation check for the join and parallel-scan data
+// path: once warm, a join chunk or a morsel allocates nothing per row.
+// This binary replaces the global operator new with a counting one, runs
+// the same query at two input sizes 4x apart, and compares the
+// allocations made while (a) the partition-parallel join phase drains,
+// (b) the same join phase drains inline at one worker and (c) a
 // morsel-parallel filter/project scan drains.
 //
 // What may still allocate is bounded by constants, not by rows: the
 // recycled output-batch pool grows to the peak number of batches in
 // flight (at most join window × (ready cap + 1) + 1 batches of
 // batch_size rows), and each scheduler task — one per partition, per
-// resumed chunk and per morsel — costs about one allocation.
+// resumed chunk and per morsel — costs about one allocation. The inline
+// join at one worker has no pool and no tasks: it writes into the
+// caller's batch.
 
 #include <gtest/gtest.h>
 
@@ -72,22 +75,24 @@ struct Measured {
   uint64_t allocations = 0;
 };
 
-void Configure(ExecContext* ctx, Catalog* catalog, TaskScheduler* sched) {
+void Configure(ExecContext* ctx, Catalog* catalog, TaskScheduler* sched,
+               size_t workers = kWorkers) {
   ctx->catalog = catalog;
   ctx->mode = EstimationMode::kOnce;
   ctx->batch_size = kBatchRows;
-  ctx->exec_workers = kWorkers;
+  ctx->exec_workers = workers;
   ctx->morsel_rows = kMorselRows;
   ctx->hash_join_partitions = kPartitions;
   ctx->AttachScheduler(sched, 1);
 }
 
 /// Allocations while the join phase drains (partitioning excluded).
-Measured JoinPhase(uint64_t build_rows, TaskScheduler* sched) {
+Measured JoinPhase(uint64_t build_rows, TaskScheduler* sched,
+                   size_t workers) {
   Catalog catalog;
   BuildCatalog(&catalog, build_rows);
   ExecContext ctx;
-  Configure(&ctx, &catalog, sched);
+  Configure(&ctx, &catalog, sched, workers);
   PlanNodePtr plan =
       HashJoinPlan(ScanPlan("r"), ScanPlan("s"), "r.k", "s.k");
   OperatorPtr root;
@@ -130,8 +135,8 @@ Measured MorselScan(uint64_t build_rows, TaskScheduler* sched) {
 
 TEST(ParallelAlloc, JoinPhaseDoesNotAllocatePerRow) {
   TaskScheduler sched(kWorkers);
-  Measured small = JoinPhase(4000, &sched);
-  Measured large = JoinPhase(16000, &sched);
+  Measured small = JoinPhase(4000, &sched, kWorkers);
+  Measured large = JoinPhase(16000, &sched, kWorkers);
   ASSERT_EQ(small.rows, 16000u);
   ASSERT_EQ(large.rows, 64000u);
   uint64_t growth = large.allocations > small.allocations
@@ -151,6 +156,28 @@ TEST(ParallelAlloc, JoinPhaseDoesNotAllocatePerRow) {
   // per-row allocation would add 3 × 48000.
   const uint64_t resume_bound = large.rows / kBatchRows / 2;
   EXPECT_LE(growth, pool_bound + resume_bound)
+      << "small " << small.allocations << " large " << large.allocations;
+}
+
+TEST(ParallelAlloc, InlineJoinPhaseDoesNotAllocatePerRow) {
+  // One worker: the join phase runs inline on the driving thread, so the
+  // attached fleet must stay idle.
+  TaskScheduler sched(kWorkers);
+  uint64_t tasks_before = sched.tasks_executed(TaskLane::kSubtask);
+  Measured small = JoinPhase(4000, &sched, 1);
+  Measured large = JoinPhase(16000, &sched, 1);
+  ASSERT_EQ(small.rows, 16000u);
+  ASSERT_EQ(large.rows, 64000u);
+  EXPECT_EQ(sched.tasks_executed(TaskLane::kSubtask), tasks_before);
+  uint64_t growth = large.allocations > small.allocations
+                        ? large.allocations - small.allocations
+                        : 0;
+  RecordProperty("small_allocations", std::to_string(small.allocations));
+  RecordProperty("large_allocations", std::to_string(large.allocations));
+  // Both sizes build the same number of partition indexes (two arrays
+  // each) and fill the same caller batch; a per-row allocation would add
+  // 3 × 48000.
+  EXPECT_LE(growth, 64u)
       << "small " << small.allocations << " large " << large.allocations;
 }
 

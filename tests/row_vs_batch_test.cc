@@ -1,8 +1,10 @@
-// Row-vs-batch differential: the batch-at-a-time execution path must be
-// observationally identical to the row-at-a-time path. For every tier-1
-// query shape (scan, filter, aggregate, hash join, merge join, two-join
-// pipeline) and every estimation mode, driving the root via Next() at
-// batch_size 1 and via NextBatch() at several batch sizes must produce
+// Batch-size differential: execution must be observationally independent
+// of the batch size. For every operator shape (scan, filter, hash and sort
+// aggregates, hash join, merge join, two-join pipeline, sort, nested-loops
+// equi- and theta-joins, index nested-loops join) and every estimation
+// mode, stepping the root one tuple at a time (capacity-1 batches, with
+// batch_size 1 inside the tree) and draining it at several batch sizes
+// must produce
 //   (a) the same result multiset,
 //   (b) the same final tuples_emitted() on every operator in the tree, and
 //   (c) the same final cardinality estimate on every operator.
@@ -74,6 +76,29 @@ const Shape kShapes[] = {
            HashJoinPlan(ScanPlan("r2"), ScanPlan("r3"), "r2.k", "r3.k"),
            "r1.k", "r3.k");
      }},
+    {"sort", [] { return SortPlan(ScanPlan("r3"), {"k", "v"}); }},
+    {"sort_agg",
+     [] {
+       return SortAggregatePlan(
+           ScanPlan("r2"), {"k"},
+           {AggregateSpec{AggregateSpec::Kind::kCountStar, ""},
+            AggregateSpec{AggregateSpec::Kind::kAvg, "v"}});
+     }},
+    {"nl_join",
+     [] {
+       return NestedLoopsJoinPlan(ScanPlan("r1"), ScanPlan("r3"), "r1.k",
+                                  "r3.k");
+     }},
+    {"theta_nl_join",
+     [] {
+       return ThetaNestedLoopsJoinPlan(ScanPlan("r3"), ScanPlan("r2"), "r3.k",
+                                       "r2.k", CompareOp::kLt);
+     }},
+    {"inl_join",
+     [] {
+       return IndexNestedLoopsJoinPlan(ScanPlan("r2"), ScanPlan("r1"), "r2.k",
+                                       "r1.k");
+     }},
 };
 
 /// Final per-operator observables, collected after Close().
@@ -100,11 +125,11 @@ RunResult Observe(Operator* root, std::vector<Row> rows) {
   return out;
 }
 
-/// Drives the root row-at-a-time via the public Next() wrapper, with
-/// batch_size pinned to 1 so the internal intake loops also consume their
-/// children one tuple per call — the exact pre-batching engine.
-RunResult RunRowPath(const Catalog& catalog, const Shape& shape,
-                     EstimationMode mode) {
+/// Steps the root one tuple per NextBatch() call, with batch_size pinned
+/// to 1 so the internal intake loops also consume their children one tuple
+/// per call.
+RunResult RunTupleAtATime(const Catalog& catalog, const Shape& shape,
+                          EstimationMode mode) {
   ExecContext ctx;
   ctx.catalog = const_cast<Catalog*>(&catalog);
   ctx.mode = mode;
@@ -115,15 +140,19 @@ RunResult RunRowPath(const Catalog& catalog, const Shape& shape,
   Status s = CompilePlan(plan.get(), &ctx, &root);
   EXPECT_TRUE(s.ok()) << s.ToString();
   EXPECT_TRUE(root->Open(&ctx).ok());
+  ctx.BeginExecution();
   std::vector<Row> rows;
-  Row row;
-  while (root->Next(&row)) rows.push_back(row);
+  RowBatch batch(1);
+  while (root->NextBatch(&batch)) {
+    EXPECT_EQ(batch.size(), 1u);
+    rows.push_back(batch.row(0));
+  }
   root->Close();
+  ctx.EndExecution();
   return Observe(root.get(), std::move(rows));
 }
 
-/// Drives the root through QueryExecutor (the batch path) at the given
-/// batch size.
+/// Drains the root through QueryExecutor at the given batch size.
 RunResult RunBatchPath(const Catalog& catalog, const Shape& shape,
                        EstimationMode mode, size_t batch_size) {
   ExecContext ctx;
@@ -148,7 +177,7 @@ TEST_P(RowVsBatch, IdenticalResultsCountersAndEstimates) {
   BuildCatalog(&catalog, 42);
 
   for (const Shape& shape : kShapes) {
-    RunResult reference = RunRowPath(catalog, shape, mode);
+    RunResult reference = RunTupleAtATime(catalog, shape, mode);
     for (size_t batch_size : {size_t{1}, size_t{7}, size_t{256},
                               size_t{1024}}) {
       SCOPED_TRACE(std::string(shape.name) + " mode " +

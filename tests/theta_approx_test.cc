@@ -209,12 +209,14 @@ TEST(ThetaJoin, EstimateConvergesDuringOuterScan) {
   auto* join = dynamic_cast<NestedLoopsJoinOp*>(root.get());
 
   ASSERT_TRUE(root->Open(&fx.ctx).ok());
-  Row row;
+  // One output row per call, so the estimate is read as soon as the
+  // 2000th outer tuple has been consumed.
+  RowBatch batch(1);
   uint64_t emitted = 0;
   double early = -1;
   double early_ci = 0;
-  while (root->Next(&row)) {
-    ++emitted;
+  while (root->NextBatch(&batch)) {
+    emitted += batch.size();
     if (early < 0 && join->theta_estimator()->outer_tuples_seen() >= 2000) {
       early = join->theta_estimator()->Estimate();
       early_ci = join->theta_estimator()->ConfidenceHalfWidth();

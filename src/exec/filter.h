@@ -41,8 +41,8 @@ class FilterOp : public Operator {
   size_t in_pos_ = 0;
   bool in_valid_ = false;
   bool random_over_ = false;
-  // Engaged when this operator tops a fusable scan chain and
-  // ctx->exec_workers > 1 (see morsel_scan.h).
+  // Engaged when this operator tops a fusable scan chain whose scan is
+  // WorthMorselScan (see morsel_scan.h).
   std::unique_ptr<MorselScanDriver> driver_;
   bool fusion_checked_ = false;
 };

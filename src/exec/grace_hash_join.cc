@@ -434,7 +434,13 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
     // First batch request of the join phase (also after an explicit
     // PreparePartitions).
     join_cursors_.resize(num_partitions_);
-    if (ctx_->exec_workers > 1) StartParallelJoin();
+    // Fan out only when the probe side fills at least one output batch;
+    // below that the partition tasks cost more than the rows they join.
+    size_t probe_rows = 0;
+    for (const Partition& p : probe_parts_) probe_rows += p.rows.size();
+    if (ctx_->exec_workers > 1 && probe_rows >= ctx_->batch_size) {
+      StartParallelJoin();
+    }
   }
   if (parallel_join_) {
     // Merge published batches in partition-index order — each drained as
@@ -513,8 +519,8 @@ void GraceHashJoinOp::NextBatchImpl(RowBatch* out) {
     }
     return;
   }
-  // exec_workers <= 1: the same partition walk runs inline on the driving
-  // thread, writing straight into `out` and pausing when it is full — no
+  // One worker, or a probe side under one batch: the same partition walk
+  // runs inline on the driving thread, writing straight into `out` and pausing when it is full — no
   // scheduler, task group or output-batch pool.
   uint64_t consumed = 0;
   while (join_emit_part_ < num_partitions_ &&
@@ -541,7 +547,8 @@ void GraceHashJoinOp::CloseImpl() {
   join_merge_batch_.reset();
   join_emit_row_ = 0;
   // Swap with empty containers rather than clear(), which keeps capacity:
-  // a server retains every finished query's operator tree.
+  // a closed tree can outlive its query (the multi-query executors keep
+  // every entry's tree until they are destroyed).
   std::vector<JoinCursor>().swap(join_cursors_);
   std::vector<PartitionResult>().swap(part_results_);
   std::vector<std::unique_ptr<RowBatch>>().swap(join_free_batches_);

@@ -37,9 +37,10 @@ class TaskScheduler;
 ///     precisely the reordering that makes the dne/byte baselines (whose
 ///     driver consumption is measured here, as in the original systems)
 ///     fluctuate under skew. One routine, JoinRows, joins a partition into
-///     a batch and pauses when the batch is full; with exec_workers <= 1
-///     it runs inline on the driving thread, otherwise as scheduler
-///     subtasks whose batches the driving thread merges back in order.
+///     a batch and pauses when the batch is full; with exec_workers <= 1,
+///     or a probe side of fewer than batch_size rows, it runs inline on
+///     the driving thread, otherwise as scheduler subtasks whose batches
+///     the driving thread merges back in order.
 ///
 /// children[0] is the build input, children[1] the probe input.
 class GraceHashJoinOp : public Operator {
@@ -161,9 +162,10 @@ class GraceHashJoinOp : public Operator {
   bool JoinRows(size_t part, RowBatch* out, uint64_t* consumed);
 
   /// Fan the partition pairs out as subtasks on the query's TaskScheduler
-  /// (ctx->exec_workers > 1), at most `join_window_` partitions ahead of
-  /// the merge cursor. Each subtask joins one partition, publishing every
-  /// completed output batch under `join_mu_` as it is produced — a
+  /// (ctx->exec_workers > 1 and at least one batch of probe rows), at
+  /// most `join_window_` partitions ahead of the merge cursor. Each
+  /// subtask joins one partition, publishing every completed output batch
+  /// under `join_mu_` as it is produced — a
   /// bounded-time push, never a blocking wait, which is what lets any
   /// blocked waiter help the fleet (see task_scheduler.h) — and the
   /// driving thread merges batches **in partition-index order** in

@@ -218,6 +218,11 @@ void MorselScanDriver::Fill(RowBatch* out) {
   }
 }
 
+bool WorthMorselScan(const SeqScanOp& scan, const ExecContext& ctx) {
+  return ctx.exec_workers > 1 &&
+         scan.scan_table().num_rows() > ctx.morsel_rows;
+}
+
 std::unique_ptr<MorselScanDriver> TryBuildFusedScanDriver(Operator* driving_op,
                                                           ExecContext* ctx) {
   std::vector<MorselStage> top_down;
@@ -240,6 +245,7 @@ std::unique_ptr<MorselScanDriver> TryBuildFusedScanDriver(Operator* driving_op,
     }
     return nullptr;  // chain interrupted: not fusable from here
   }
+  if (!WorthMorselScan(*scan, *ctx)) return nullptr;
   std::reverse(top_down.begin(), top_down.end());
   return std::make_unique<MorselScanDriver>(scan, std::move(top_down), ctx);
 }

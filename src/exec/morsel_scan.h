@@ -142,11 +142,16 @@ class MorselScanDriver {
   std::unique_ptr<TaskGroup> group_;
 };
 
+/// Whether a scan of `scan`'s table is worth a MorselScanDriver: more than
+/// one worker, and more than one morsel of rows. A table that fits in one
+/// morsel would make a single subtask the driving thread then waits on.
+bool WorthMorselScan(const SeqScanOp& scan, const ExecContext& ctx);
+
 /// Walk the operator chain below (and including) `driving_op` looking for a
 /// fusable SeqScan → Filter/Project spine; returns a driver with
 /// `driving_op` as its last stage, or nullptr if anything else (a join, a
-/// non-scan leaf) interrupts the chain. Call from `driving_op`'s first
-/// NextBatchImpl when ctx->exec_workers > 1.
+/// non-scan leaf) interrupts the chain or the scan is not WorthMorselScan.
+/// Call from `driving_op`'s first NextBatchImpl when ctx->exec_workers > 1.
 std::unique_ptr<MorselScanDriver> TryBuildFusedScanDriver(Operator* driving_op,
                                                           ExecContext* ctx);
 

@@ -33,7 +33,7 @@ void SeqScanOp::CloseImpl() {
 void SeqScanOp::NextBatchImpl(RowBatch* out) {
   if (!parallel_checked_) {
     parallel_checked_ = true;
-    if (ctx_ != nullptr && ctx_->exec_workers > 1) {
+    if (ctx_ != nullptr && WorthMorselScan(*this, *ctx_)) {
       driver_ = std::make_unique<MorselScanDriver>(
           this, std::vector<MorselStage>{}, ctx_);
     }

@@ -27,10 +27,10 @@ void TracePublisher::OnTick(uint64_t n) {
   }
 }
 
+// No up-front reserve: most queries are short and record a handful of
+// samples, while a ring lives as long as its query's handle.
 TraceRing::TraceRing(size_t capacity)
-    : capacity_(capacity < 2 ? 2 : capacity) {
-  samples_.reserve(capacity_);
-}
+    : capacity_(capacity < 2 ? 2 : capacity) {}
 
 void TraceRing::CompactLocked() {
   // Keep every other sample (even positions). Retained samples sat at
@@ -64,6 +64,8 @@ void TraceRing::RecordTerminal(TraceSample sample) {
   sample.terminal = true;
   if (samples_.size() == capacity_) CompactLocked();
   samples_.push_back(std::move(sample));
+  // The curve is complete: keep exactly what it holds.
+  samples_.shrink_to_fit();
 }
 
 std::vector<TraceSample> TraceRing::Samples() const {

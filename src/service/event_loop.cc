@@ -46,24 +46,54 @@ SnapshotBuffers SnapshotBroadcast::Get(QueryHandle* handle,
                                        uint64_t period_bits, uint64_t slot,
                                        bool want_binary, bool force_final) {
   std::lock_guard<std::mutex> lock(mu_);
-  Entry& e = entries_[{handle->id, period_bits}];
-  bool rebuild = slot == kImmediateSlot || e.slot != slot ||
-                 e.bufs.json == nullptr;
+  return GetLocked(&entries_[{handle->id, period_bits}], handle, slot,
+                   want_binary, force_final);
+}
+
+SnapshotBuffers SnapshotBroadcast::Subscribe(QueryHandle* handle,
+                                             uint64_t period_bits,
+                                             bool want_binary) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.try_emplace({handle->id, period_bits}).first;
+  SnapshotBuffers bufs = GetLocked(&it->second, handle, kImmediateSlot,
+                                   want_binary, false);
+  if (!bufs.final_snapshot) {
+    ++it->second.subscribers;
+  } else if (it->second.subscribers == 0) {
+    entries_.erase(it);
+  }
+  return bufs;
+}
+
+void SnapshotBroadcast::Unsubscribe(uint64_t query_id, uint64_t period_bits) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find({query_id, period_bits});
+  if (it != entries_.end() && --it->second.subscribers == 0) {
+    entries_.erase(it);
+  }
+}
+
+SnapshotBuffers SnapshotBroadcast::GetLocked(Entry* e, QueryHandle* handle,
+                                             uint64_t slot, bool want_binary,
+                                             bool force_final) {
+  bool rebuild = slot == kImmediateSlot || e->slot != slot ||
+                 e->bufs.json == nullptr;
   if (rebuild) {
-    e.snap = server_->BuildWireSnapshot(handle, e.next_seq++, force_final);
-    e.bufs.json = std::make_shared<const std::string>(EncodeSnapshot(e.snap));
-    e.bufs.binary = nullptr;
-    e.bufs.built_ms = e.snap.server_ms;
-    e.bufs.final_snapshot = e.snap.final_snapshot;
-    e.slot = slot;
+    e->snap = server_->BuildWireSnapshot(handle, e->next_seq++, force_final);
+    e->bufs.json =
+        std::make_shared<const std::string>(EncodeSnapshot(e->snap));
+    e->bufs.binary = nullptr;
+    e->bufs.built_ms = e->snap.server_ms;
+    e->bufs.final_snapshot = e->snap.final_snapshot;
+    e->slot = slot;
     serializations_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (want_binary && e.bufs.binary == nullptr) {
-    e.bufs.binary =
-        std::make_shared<const std::string>(EncodeSnapshotFrame(e.snap));
+  if (want_binary && e->bufs.binary == nullptr) {
+    e->bufs.binary =
+        std::make_shared<const std::string>(EncodeSnapshotFrame(e->snap));
     serializations_.fetch_add(1, std::memory_order_relaxed);
   }
-  return e.bufs;
+  return e->bufs;
 }
 
 EventLoop::EventLoop(QpiServer* server, SnapshotBroadcast* broadcast,
@@ -384,9 +414,7 @@ void EventLoop::RegisterWatch(Conn* conn, QueryHandle* handle,
   // The stream opener is always built fresh and always queued (it is what
   // tells the client the watch exists); the watermark only thins the
   // steady-state fires that follow.
-  SnapshotBuffers bufs =
-      broadcast_->Get(handle, bits, SnapshotBroadcast::kImmediateSlot,
-                      conn->binary, false);
+  SnapshotBuffers bufs = broadcast_->Subscribe(handle, bits, conn->binary);
   EnqueueSnapshot(conn, bufs, /*force=*/true);
   if (bufs.final_snapshot) return;  // already terminal: one-shot stream
   conn->watches.push_back({handle->id, bits, handle});
@@ -437,6 +465,7 @@ void EventLoop::FireDueClasses(double now) {
           }
         }
         watch_count_.fetch_sub(1, std::memory_order_relaxed);
+        broadcast_->Unsubscribe(it->first.first, it->first.second);
       }
       it = classes_.erase(it);
     } else {
@@ -525,6 +554,7 @@ void EventLoop::EnterDrain() {
           broadcast_->Get(watch.handle, watch.period_bits,
                           SnapshotBroadcast::kDrainSlot, conn->binary, true);
       EnqueueSnapshot(conn.get(), bufs, /*force=*/true);
+      broadcast_->Unsubscribe(watch.query_id, watch.period_bits);
     }
     watch_count_.fetch_sub(conn->watches.size(),
                            std::memory_order_relaxed);
@@ -538,6 +568,7 @@ void EventLoop::EnterDrain() {
 
 void EventLoop::RemoveConnWatches(Conn* conn) {
   for (const Watch& watch : conn->watches) {
+    broadcast_->Unsubscribe(watch.query_id, watch.period_bits);
     auto it = classes_.find({watch.query_id, watch.period_bits});
     if (it == classes_.end()) continue;
     auto& members = it->second.members;

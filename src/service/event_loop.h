@@ -43,6 +43,13 @@ struct SnapshotBuffers {
 /// and reuse one build. The per-class `seq` counter lives here too: all
 /// streams of a class carry the same (monotone) sequence numbers, which
 /// is exactly the per-stream non-decreasing guarantee the protocol makes.
+///
+/// An entry lives while some watch subscription of its (query, cadence)
+/// is registered, on any shard: Subscribe() counts one in, Unsubscribe()
+/// counts one out and erases the entry at zero — after a final snapshot
+/// went to every member, or when the last watcher left. A later WATCH of a
+/// finished query builds a fresh one-shot entry (kImmediateSlot) and drops
+/// it at once.
 class SnapshotBroadcast {
  public:
   /// Pseudo-slots that always rebuild: a watch registration's opening
@@ -61,6 +68,17 @@ class SnapshotBroadcast {
   SnapshotBuffers Get(QueryHandle* handle, uint64_t period_bits,
                       uint64_t slot, bool want_binary, bool force_final);
 
+  /// A watch registration's opening snapshot (a kImmediateSlot build).
+  /// Counts the new subscription in unless the snapshot is final — a
+  /// one-shot stream that subscribes nothing, and whose entry is dropped
+  /// here when no other subscription holds it.
+  SnapshotBuffers Subscribe(QueryHandle* handle, uint64_t period_bits,
+                            bool want_binary);
+
+  /// One subscription of (query, period) ended; the entry goes with the
+  /// last one.
+  void Unsubscribe(uint64_t query_id, uint64_t period_bits);
+
   /// Distinct serializations performed (JSON builds + binary encodes) —
   /// the denominator of the fan-out claim: deliveries per build.
   uint64_t serializations() const {
@@ -71,14 +89,17 @@ class SnapshotBroadcast {
   struct Entry {
     uint64_t slot = kImmediateSlot;
     uint64_t next_seq = 0;
+    size_t subscribers = 0;  ///< registered watches, across every shard
     WireSnapshot snap;  ///< kept for the lazy binary encode
     SnapshotBuffers bufs;
   };
 
+  SnapshotBuffers GetLocked(Entry* e, QueryHandle* handle, uint64_t slot,
+                            bool want_binary, bool force_final);
+
   QpiServer* server_;
   std::mutex mu_;
-  /// Keyed by (query id, period bit pattern). Entries are one snapshot
-  /// each and live for the server's lifetime, like the query registry.
+  /// Keyed by (query id, period bit pattern); one snapshot per entry.
   std::map<std::pair<uint64_t, uint64_t>, Entry> entries_;
   std::atomic<uint64_t> serializations_{0};
 };

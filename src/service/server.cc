@@ -136,7 +136,17 @@ ServerMetrics::ServerMetrics() {
 }
 
 const char* QueryHandle::WireState() const {
-  switch (terminal.load(std::memory_order_acquire)) {
+  Terminal t = terminal.load(std::memory_order_acquire);
+  if (t == Terminal::kNone) {
+    const char* live = nullptr;
+    WithExecution([&live](const QueryExecution& e) {
+      live = e.ctx->phase() == QueryPhase::kQueued ? "queued" : "running";
+    });
+    if (live != nullptr) return live;
+    // Released between the two reads: the terminal store came first.
+    t = terminal.load(std::memory_order_acquire);
+  }
+  switch (t) {
     case Terminal::kFinished:
       return "finished";
     case Terminal::kFailed:
@@ -148,7 +158,7 @@ const char* QueryHandle::WireState() const {
     case Terminal::kNone:
       break;
   }
-  return ctx->phase() == QueryPhase::kQueued ? "queued" : "running";
+  return "running";
 }
 
 double QueryHandle::Progress() {
@@ -159,8 +169,10 @@ double QueryHandle::Progress() {
     // Refresh C(Q) from the relaxed atomic counters so progress advances
     // between the worker's publications (same scheme as the concurrent
     // executor's QueryProgress).
-    double live = static_cast<double>(accountant->CurrentCalls());
-    if (live > snap.current_calls) snap.current_calls = live;
+    WithExecution([&snap](const QueryExecution& e) {
+      double live = static_cast<double>(e.accountant->CurrentCalls());
+      if (live > snap.current_calls) snap.current_calls = live;
+    });
   }
   if (snap.total_estimate < snap.current_calls) {
     snap.total_estimate = snap.current_calls;
@@ -281,23 +293,27 @@ Status QpiServer::Submit(const std::string& sql, const OlaOptions* ola,
   auto handle = std::make_unique<QueryHandle>();
   handle->tenant = tenant;
   handle->sql = sql;
-  handle->ctx = std::make_unique<ExecContext>();
-  handle->ctx->catalog = catalog_;
-  handle->ctx->mode = options_.mode;
+  handle->exec = std::make_unique<QueryExecution>();
+  QueryExecution& exec = *handle->exec;
+  exec.ctx = std::make_unique<ExecContext>();
+  exec.ctx->catalog = catalog_;
+  exec.ctx->mode = options_.mode;
   // Served queries fan intra-query subtasks (morsel scans, grace-join
   // partitions) out on the shared fleet; the per-query tag keeps the
   // sharing fair when several queries are inflight.
-  handle->ctx->exec_workers = options_.exec_workers;
+  exec.ctx->exec_workers = options_.exec_workers;
   if (ola != nullptr) {
-    handle->ctx->ola = *ola;
-    handle->ctx->ola.enabled = true;
+    exec.ctx->ola = *ola;
+    exec.ctx->ola.enabled = true;
   }
-  QPI_RETURN_NOT_OK(handle->ctx->Validate());
-  QPI_RETURN_NOT_OK(CompilePlan(plan.get(), handle->ctx.get(), &handle->root));
+  QPI_RETURN_NOT_OK(exec.ctx->Validate());
+  QPI_RETURN_NOT_OK(CompilePlan(plan.get(), exec.ctx.get(), &exec.root));
   if (ola != nullptr) {
-    QPI_RETURN_NOT_OK(AttachOla(handle->root.get(), handle->ctx.get(),
-                              &handle->ola_slot, &handle->ola));
-    handle->ola->set_publish_hook([this](const OlaSnapshot& snap) {
+    QPI_RETURN_NOT_OK(AttachOla(exec.root.get(), exec.ctx.get(),
+                                &handle->ola_slot, &exec.ola));
+    handle->is_ola = true;
+    handle->ola_labels = exec.ola->labels();
+    exec.ola->set_publish_hook([this](const OlaSnapshot& snap) {
       double max_hw = -1.0;
       for (uint32_t a = 0; a < snap.num_aggregates; ++a) {
         if (std::isfinite(snap.half_width[a]) &&
@@ -310,29 +326,29 @@ Status QpiServer::Submit(const std::string& sql, const OlaOptions* ola,
     // Seed the slot so watchers that poll before the first publish tick
     // already see the aggregate labels and an infinite half-width instead
     // of a zero-length snapshot.
-    handle->ola_slot.Store(handle->ola->Snapshot(0));
+    handle->ola_slot.Store(exec.ola->Snapshot(0));
   }
-  handle->accountant = std::make_unique<GnmAccountant>(handle->root.get());
+  exec.accountant = std::make_unique<GnmAccountant>(exec.root.get());
   if (options_.ensemble) {
-    handle->ensemble = std::make_unique<EstimatorEnsemble>(
-        handle->accountant.get(), handle->ctx.get(), &feedback_cache_);
-    handle->accountant->AttachEnsemble(handle->ensemble.get());
+    exec.ensemble = std::make_unique<EstimatorEnsemble>(
+        exec.accountant.get(), exec.ctx.get(), &feedback_cache_);
+    exec.accountant->AttachEnsemble(exec.ensemble.get());
   }
-  handle->ctx->set_phase(QueryPhase::kQueued);
+  exec.ctx->set_phase(QueryPhase::kQueued);
   handle->trace = std::make_unique<TraceRing>(options_.trace_capacity);
-  handle->op_labels.reserve(handle->accountant->operators().size());
-  for (const Operator* op : handle->accountant->operators()) {
+  handle->op_labels.reserve(exec.accountant->operators().size());
+  for (const Operator* op : exec.accountant->operators()) {
     handle->op_labels.push_back(op->label());
   }
   // Seed the slot so a watcher attached before execution sees the
   // optimizer-based T̂ (progress 0 in the "queued" state), not an empty
   // snapshot. Safe: nothing executes yet. The same observation opens the
   // trace: every curve starts at the optimizer's guess.
-  GnmSnapshot seed = handle->accountant->SnapshotWithConfidence(
-      0, handle->ctx->confidence, handle->ctx->ci_combine);
+  GnmSnapshot seed = exec.accountant->SnapshotWithConfidence(
+      0, exec.ctx->confidence, exec.ctx->ci_combine);
   handle->slot.Store(seed);
   handle->trace->Record(
-      MakeTraceSample(*handle->accountant, seed, QueryPhase::kQueued));
+      MakeTraceSample(*exec.accountant, seed, QueryPhase::kQueued));
   metrics_.trace_samples->Increment();
   handle->id = next_id_.fetch_add(1, std::memory_order_relaxed);
   QueryHandle* raw = handle.get();
@@ -366,8 +382,10 @@ Status QpiServer::CancelQuery(uint64_t id) {
     return Status::OK();
   }
   // Running (or about to): cooperative cancellation; the worker drains it
-  // and records the terminal state.
-  handle->ctx->RequestCancel();
+  // and records the terminal state. A query that terminalized meanwhile
+  // has released its execution and needs nothing.
+  handle->WithExecution(
+      [](QueryExecution& e) { e.ctx->RequestCancel(); });
   return Status::OK();
 }
 
@@ -376,7 +394,7 @@ Status QpiServer::StopQuery(uint64_t id) {
   if (handle == nullptr) {
     return Status::NotFound("no such query id " + std::to_string(id));
   }
-  if (handle->ola == nullptr) {
+  if (!handle->is_ola) {
     return Status::InvalidArgument(
         "query " + std::to_string(id) +
         " was not submitted with online aggregation; use cancel");
@@ -391,7 +409,8 @@ Status QpiServer::StopQuery(uint64_t id) {
   // Running: early-terminate through the cancellation path, remembering it
   // was an accept-the-estimate stop (the worker classifies the terminal
   // via ctx->OlaStopped()).
-  handle->ctx->RequestOlaStop();
+  handle->WithExecution(
+      [](QueryExecution& e) { e.ctx->RequestOlaStop(); });
   return Status::OK();
 }
 
@@ -444,15 +463,23 @@ WireSnapshot QpiServer::BuildWireSnapshot(QueryHandle* h, uint64_t seq,
   snap.progress = h->Progress();
   snap.rows = h->rows_emitted.load(std::memory_order_relaxed);
   snap.server_ms = MonotonicMs();
-  snap.ops = CollectOperatorCounters(*h->accountant);
-  if (h->ola != nullptr) {
+  // A terminal query's counters are frozen on its handle; a live query's
+  // are read from its tree under the lifetime guard (if the worker released
+  // the tree since the terminal read above, the frozen copy is final).
+  if (terminal ||
+      !h->WithExecution([&snap](const QueryExecution& e) {
+        snap.ops = CollectOperatorCounters(*e.accountant);
+      })) {
+    snap.ops = h->final_ops;
+  }
+  if (h->is_ola) {
     OlaSnapshot ola = h->ola_slot.Load();
     snap.ola.present = true;
     snap.ola.draws = ola.draws;
     snap.ola.groups = ola.groups;
     snap.ola.frozen = ola.frozen;
     snap.ola.exact = ola.exact;
-    snap.ola.labels = h->ola->labels();
+    snap.ola.labels = h->ola_labels;
     snap.ola.estimate.assign(ola.estimate, ola.estimate + ola.num_aggregates);
     snap.ola.half_width.assign(ola.half_width,
                                ola.half_width + ola.num_aggregates);
@@ -545,50 +572,51 @@ void QpiServer::DispatchLoop() {
 }
 
 void QpiServer::RunOne(QueryHandle* handle) {
+  // This worker is the only thread that releases the execution, so it
+  // uses it without the lifetime guard.
+  QueryExecution& exec = *handle->exec;
   // Any intra-query fan-out this query performs (exec_workers > 1 in its
   // context) rides the same fleet, tagged by query id for fair sharing.
-  handle->ctx->AttachScheduler(fleet_.get(), handle->id);
-  TracePublisher publisher(handle->accountant.get(), handle->ctx.get(),
+  exec.ctx->AttachScheduler(fleet_.get(), handle->id);
+  TracePublisher publisher(exec.accountant.get(), exec.ctx.get(),
                            &handle->slot, handle->trace.get(),
-                           options_.publish_interval,
-                           handle->ensemble.get());
-  if (handle->ola != nullptr) publisher.set_ola_feed(handle->ola.get());
-  handle->ctx->AddTickObserver(&publisher);
+                           options_.publish_interval, exec.ensemble.get());
+  if (exec.ola != nullptr) publisher.set_ola_feed(exec.ola.get());
+  exec.ctx->AddTickObserver(&publisher);
   Status s = QueryExecutor::Run(
-      handle->root.get(), handle->ctx.get(), nullptr, nullptr,
+      exec.root.get(), exec.ctx.get(), nullptr, nullptr,
       [handle](const RowBatch& batch) {
         handle->rows_emitted.fetch_add(batch.size(),
                                        std::memory_order_relaxed);
       });
-  handle->ctx->RemoveTickObserver(&publisher);
-  handle->ticks = publisher.ticks();
+  exec.ctx->RemoveTickObserver(&publisher);
+  const uint64_t ticks = publisher.ticks();
   metrics_.trace_samples->Increment(publisher.samples_offered() + 1);
   // Terminal snapshot first, terminal state second (release): a watcher
   // observing the terminal state is guaranteed the exact final snapshot
   // (every operator finished, so T̂ = C and the half-width is 0). The
-  // trace's terminal sample and the audit land in the same window, so a
-  // TRACE after the terminal state sees both.
-  if (handle->ensemble != nullptr) {
+  // trace's terminal sample, the audit and the frozen counters land in
+  // the same window, so a reader after the terminal state sees them all.
+  if (exec.ensemble != nullptr) {
     // One last observation with every operator finished: each candidate's
     // total collapses to C, so the terminal sample's candidate columns end
     // on the exact point the audit expects (T̂ = C for every curve).
-    handle->ensemble->Observe(handle->ticks);
+    exec.ensemble->Observe(ticks);
   }
-  GnmSnapshot final_snap = handle->accountant->SnapshotWithConfidence(
-      handle->ticks, handle->ctx->confidence, handle->ctx->ci_combine);
+  GnmSnapshot final_snap = exec.accountant->SnapshotWithConfidence(
+      ticks, exec.ctx->confidence, exec.ctx->ci_combine);
   handle->slot.Store(final_snap);
   // The final OLA answer lands in its slot inside the same window (before
   // the terminal release-store), so a watcher observing the terminal reads
   // the final approximate answer, exact or early-stopped alike.
-  if (handle->ola != nullptr) handle->ola->PublishFinal(handle->ticks);
+  if (exec.ola != nullptr) exec.ola->PublishFinal(ticks);
+  handle->final_ops = CollectOperatorCounters(*exec.accountant);
   TraceSample terminal_sample =
-      MakeTraceSample(*handle->accountant, final_snap, handle->ctx->phase());
-  if (handle->ensemble != nullptr) {
-    handle->ensemble->FillTraceSample(&terminal_sample);
+      MakeTraceSample(*exec.accountant, final_snap, exec.ctx->phase());
+  if (exec.ensemble != nullptr) {
+    exec.ensemble->FillTraceSample(&terminal_sample);
   }
-  if (handle->ola != nullptr) {
-    handle->ola->FillTraceSample(&terminal_sample);
-  }
+  if (exec.ola != nullptr) exec.ola->FillTraceSample(&terminal_sample);
   handle->trace->RecordTerminal(std::move(terminal_sample));
   QueryHandle::Terminal terminal;
   if (!s.ok()) {
@@ -596,8 +624,8 @@ void QpiServer::RunOne(QueryHandle* handle) {
     terminal = QueryHandle::Terminal::kFailed;
     failed_.fetch_add(1, std::memory_order_relaxed);
     metrics_.failed->Increment();
-  } else if (handle->ctx->IsCancelled()) {
-    if (handle->ctx->OlaStopped()) {
+  } else if (exec.ctx->IsCancelled()) {
+    if (exec.ctx->OlaStopped()) {
       // An accepted approximate answer, not an abandoned query.
       terminal = QueryHandle::Terminal::kOlaStopped;
       ola_stopped_.fetch_add(1, std::memory_order_relaxed);
@@ -616,10 +644,10 @@ void QpiServer::RunOne(QueryHandle* handle) {
     AccuracyReport report =
         ComputeAccuracyReport(handle->trace->Samples(), handle->op_labels);
     handle->audit_json = AccuracyReportJson(report);
-    if (handle->ensemble != nullptr) {
+    if (exec.ensemble != nullptr) {
       // Deposit this query's audited per-candidate accuracy into the
       // cross-query cache before any metric reads it back out.
-      handle->ensemble->Finalize(report);
+      exec.ensemble->Finalize(report);
     }
     for (const CheckpointAccuracy& cp : report.checkpoints) {
       if (!ScorableRatio(cp.r, cp.degenerate)) {
@@ -635,8 +663,8 @@ void QpiServer::RunOne(QueryHandle* handle) {
         }
       }
     }
-    if (handle->ensemble != nullptr) {
-      std::vector<uint64_t> counts = handle->ensemble->SelectedCounts();
+    if (exec.ensemble != nullptr) {
+      std::vector<uint64_t> counts = exec.ensemble->SelectedCounts();
       for (size_t c = 0;
            c < counts.size() && c < kNumEstimatorCandidates; ++c) {
         if (counts[c] > 0) metrics_.selected[c]->Increment(counts[c]);
@@ -644,7 +672,11 @@ void QpiServer::RunOne(QueryHandle* handle) {
     }
   }
   handle->terminal.store(terminal, std::memory_order_release);
-  handle->ctx->AttachScheduler(nullptr, 0);
+  exec.ctx->AttachScheduler(nullptr, 0);
+  // From here readers use only what the handle owns. Swap the execution
+  // out under the guard and destroy the tree outside it, on this worker,
+  // before the inflight slot frees up for the next query.
+  handle->ReleaseExecution().reset();
   admission_.OnComplete(handle->tenant);
 }
 
@@ -652,12 +684,16 @@ void QpiServer::TerminalizeQueued(QueryHandle* handle) {
   handle->error = "cancelled before execution";
   // Close the trace with the seeded snapshot — the query never ran, so no
   // worker is publishing and reading the accountant here is safe.
+  const QueryExecution& exec = *handle->exec;
+  handle->final_ops = CollectOperatorCounters(*exec.accountant);
   handle->trace->RecordTerminal(MakeTraceSample(
-      *handle->accountant, handle->slot.Load(), QueryPhase::kQueued));
+      *exec.accountant, handle->slot.Load(), QueryPhase::kQueued));
   handle->terminal.store(QueryHandle::Terminal::kCancelled,
                          std::memory_order_release);
   cancelled_.fetch_add(1, std::memory_order_relaxed);
   metrics_.cancelled->Increment();
+  // The tree never opened, so destroying it here is cheap.
+  handle->ReleaseExecution().reset();
 }
 
 void QpiServer::AcceptLoop() {
@@ -707,7 +743,8 @@ void QpiServer::DrainInternal() {
     std::lock_guard<std::mutex> lock(queries_mu_);
     for (auto& [id, handle] : queries_) {
       (void)id;
-      if (!handle->IsTerminal()) handle->ctx->RequestCancel();
+      handle->WithExecution(
+          [](QueryExecution& e) { e.ctx->RequestCancel(); });
     }
   }
   // Cancelled queries drain cooperatively (bounded by their tick path),

@@ -22,6 +22,7 @@
 #include "ola/ola_snapshot.h"
 #include "progress/ensemble.h"
 #include "progress/gnm.h"
+#include "progress/snapshot_json.h"
 #include "progress/snapshot_slot.h"
 #include "progress/trace_ring.h"
 #include "service/admission_queue.h"
@@ -31,19 +32,17 @@
 
 namespace qpi {
 
-/// \brief One submitted query, from SUBMIT to its terminal snapshot.
+/// \brief A served query's execution state: the compiled operator tree and
+/// the per-query estimation machinery around it (the paper's working
+/// memory — ONCE/pipeline histograms, group-count estimators, candidate
+/// estimators, the OLA collector).
 ///
-/// Lives in the server registry for the server's lifetime (watch sessions
-/// hold raw pointers across their own threads). Cross-thread reads follow
-/// the engine's threading model: the executing worker owns the estimator
-/// internals and publishes full snapshots through `slot`; every other
-/// field a watcher touches is an atomic or a seqlock read.
-struct QueryHandle {
-  uint64_t id = 0;
-  /// Admission fair-share lane (the submitting session's id; 0 for
-  /// programmatic Submit calls). Immutable after Submit.
-  uint64_t tenant = 0;
-  std::string sql;
+/// Owned by its QueryHandle from Submit until the terminal snapshot; the
+/// worker that ran the query (or TerminalizeQueued, for a query that never
+/// ran) then destroys it. Destruction runs in reverse declaration order:
+/// the collector and ensemble before the accountant, the context and
+/// finally the tree.
+struct QueryExecution {
   OperatorPtr root;
   std::unique_ptr<ExecContext> ctx;
   std::unique_ptr<GnmAccountant> accountant;
@@ -51,20 +50,48 @@ struct QueryHandle {
   /// server's ensemble option is off). Attached to the accountant at
   /// Submit; observed and finalized by the executing worker only.
   std::unique_ptr<EstimatorEnsemble> ensemble;
-  SnapshotSlot slot;                      ///< latest published GnmSnapshot
-  /// Online-aggregation state (null unless submitted with OLA): the
-  /// collector is fed by the executing worker; the slot is its seqlock
-  /// publication cell, read by watchers alongside `slot`.
+  /// Online-aggregation collector (null unless submitted with OLA), fed by
+  /// the executing worker; it publishes into the handle's `ola_slot`.
   std::unique_ptr<OlaCollector> ola;
+};
+
+/// \brief One submitted query, from SUBMIT to its terminal snapshot.
+///
+/// Lives in the server registry for the server's lifetime (watch sessions
+/// hold raw pointers across their own threads), but holds only what
+/// outlives the query: the published slots, the trace, the audit and the
+/// counters frozen at the terminal. The execution itself is released at
+/// the terminal (see QueryExecution).
+///
+/// Cross-thread reads follow the engine's threading model: the executing
+/// worker owns the estimator internals and publishes full snapshots
+/// through `slot`; every other field a watcher touches is an atomic, a
+/// seqlock read, immutable after Submit, or written before the terminal
+/// release-store. A non-worker thread reaches the live execution only
+/// through WithExecution(), which holds the per-handle lifetime guard
+/// around the access.
+struct QueryHandle {
+  uint64_t id = 0;
+  /// Admission fair-share lane (the submitting session's id; 0 for
+  /// programmatic Submit calls). Immutable after Submit.
+  uint64_t tenant = 0;
+  std::string sql;
+  SnapshotSlot slot;  ///< latest published GnmSnapshot
+  /// Submitted with online aggregation. Immutable after Submit, like the
+  /// aggregate labels below.
+  bool is_ola = false;
+  std::vector<std::string> ola_labels;
+  /// The OLA collector's seqlock publication cell, read by watchers
+  /// alongside `slot`.
   OlaSnapshotSlot ola_slot;
   std::atomic<uint64_t> rows_emitted{0};  ///< root rows, readable live
   std::atomic<double> progress_floor{0.0};
-  uint64_t ticks = 0;  ///< executing worker only
 
   /// Terminal state, stored with release ordering *after* the terminal
   /// snapshot lands in `slot` — an acquire reader that observes a terminal
   /// value is guaranteed the slot already holds the final T̂ = C snapshot
-  /// (and, for OLA queries, `ola_slot` the final approximate answer).
+  /// (and, for OLA queries, `ola_slot` the final approximate answer, and
+  /// `final_ops` the final per-operator counters).
   /// kOlaStopped is the distinct terminal of an OLA early termination: the
   /// query stopped on purpose with a published approximate answer, which
   /// is a success, not a cancellation.
@@ -77,6 +104,9 @@ struct QueryHandle {
   };
   std::atomic<Terminal> terminal{Terminal::kNone};
   std::string error;  ///< worker-written before the terminal store
+  /// Per-operator counters at the terminal, worker-written before the
+  /// terminal store — what snapshots report once the tree is gone.
+  std::vector<OperatorCounter> final_ops;
 
   /// Progress-curve history for TRACE (internally locked, safe anytime).
   std::unique_ptr<TraceRing> trace;
@@ -99,6 +129,31 @@ struct QueryHandle {
   /// Estimated progress in [0,1], monotone per query (CAS-max floor, same
   /// scheme as the concurrent executor). Safe from any thread.
   double Progress();
+
+  /// Run `fn(QueryExecution&)` under the lifetime guard if the execution
+  /// is still held; returns false (without calling `fn`) once it has been
+  /// released. Keep `fn` short: the releasing worker waits on the guard.
+  template <typename Fn>
+  bool WithExecution(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(exec_mu);
+    if (exec == nullptr) return false;
+    fn(*exec);
+    return true;
+  }
+
+  /// Swap the execution out under the guard and hand it to the caller,
+  /// who destroys it outside the guard. Called once, after the terminal
+  /// store, by the thread that terminalized the query.
+  std::unique_ptr<QueryExecution> ReleaseExecution() {
+    std::lock_guard<std::mutex> lock(exec_mu);
+    return std::move(exec);
+  }
+
+  /// The execution, installed by Submit before the handle is published.
+  /// The executing worker uses it directly (it is the only thread that
+  /// releases it); every other thread goes through WithExecution().
+  std::unique_ptr<QueryExecution> exec;
+  mutable std::mutex exec_mu;  ///< lifetime guard of `exec`
 };
 
 /// \brief The server's /metrics instruments (rendered by metrics_text.h).

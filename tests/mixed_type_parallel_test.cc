@@ -22,9 +22,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/task_scheduler.h"
 #include "exec/compiler.h"
 #include "exec/executor.h"
 #include "exec/grace_hash_join.h"
+#include "exec/seq_scan.h"
 #include "stats/hash_histogram.h"
 #include "storage/catalog.h"
 
@@ -197,6 +199,8 @@ struct RunResult {
   std::vector<std::string> rows;  // emission order
   std::vector<OpObservation> ops;
   std::vector<OnceObservation> once;
+  uint64_t subtasks = 0;      // morsel-lane tasks the query's fleet ran
+  uint64_t scan_morsels = 0;  // of those, the morsels of its scans
 };
 
 void Configure(ExecContext* ctx, const Catalog& catalog, size_t workers,
@@ -240,7 +244,17 @@ RunResult RunBatchPath(const Catalog& catalog, const Shape& shape,
   EXPECT_TRUE(s.ok()) << s.ToString();
   std::vector<Row> rows;
   EXPECT_TRUE(QueryExecutor::Run(root.get(), &ctx, &rows).ok());
-  return Observe(root.get(), rows);
+  RunResult out = Observe(root.get(), rows);
+  if (workers > 1) {
+    root->Visit([&](Operator* op) {
+      if (auto* scan = dynamic_cast<SeqScanOp*>(op)) {
+        uint64_t n = scan->scan_table().num_rows();
+        out.scan_morsels += (n + ctx.morsel_rows - 1) / ctx.morsel_rows;
+      }
+    });
+    out.subtasks = ctx.scheduler()->tasks_executed(TaskLane::kSubtask);
+  }
+  return out;
 }
 
 uint64_t KeyCode(const Row& row, const std::vector<size_t>& idx) {
@@ -311,7 +325,10 @@ TEST(MixedTypeParallel, PackedPathMatchesReferenceAndOracle) {
   // histograms; the optimizer falls back to row counts.
   Catalog catalog;
   TablePtr a = MixedTable("a", 400, 11);
-  TablePtr b = MixedTable("b", 500, 12);
+  // b is the probe side of every join: 1400 rows keep even the filtered
+  // probe of join_fused_probe above one 1024-row batch, so the batch-1024
+  // runs at 4 workers take the partition-parallel join too.
+  TablePtr b = MixedTable("b", 1400, 12);
   ASSERT_TRUE(catalog.Register(a).ok());
   ASSERT_TRUE(catalog.Register(b).ok());
 
@@ -328,7 +345,18 @@ TEST(MixedTypeParallel, PackedPathMatchesReferenceAndOracle) {
       for (size_t batch : {size_t{1}, size_t{1024}}) {
         SCOPED_TRACE("workers " + std::to_string(workers) + " batch " +
                      std::to_string(batch));
-        ExpectSameRun(RunBatchPath(catalog, shape, workers, batch), reference);
+        RunResult run = RunBatchPath(catalog, shape, workers, batch);
+        ExpectSameRun(run, reference);
+        if (workers > 1) {
+          // Morsel scans ran, and a join's partitions ran as subtasks
+          // beyond them.
+          EXPECT_GT(run.scan_morsels, 0u);
+          EXPECT_GE(run.subtasks, run.scan_morsels);
+          if (!reference.once.empty()) {
+            EXPECT_GT(run.subtasks, run.scan_morsels)
+                << "the join phase ran inline";
+          }
+        }
       }
     }
   }

@@ -73,6 +73,7 @@ void BuildCatalog(Catalog* catalog, uint64_t build_rows) {
 struct Measured {
   uint64_t rows = 0;
   uint64_t allocations = 0;
+  uint64_t subtasks = 0;  ///< morsel-lane tasks run over the same window
 };
 
 void Configure(ExecContext* ctx, Catalog* catalog, TaskScheduler* sched,
@@ -104,9 +105,11 @@ Measured JoinPhase(uint64_t build_rows, TaskScheduler* sched,
   EXPECT_TRUE(root->Open(&ctx).ok());
   join->PreparePartitions();
   RowBatch batch(kBatchRows);
+  uint64_t tasks_before = sched->tasks_executed(TaskLane::kSubtask);
   uint64_t before = Allocations();
   while (root->NextBatch(&batch)) m.rows += batch.size();
   m.allocations = Allocations() - before;
+  m.subtasks = sched->tasks_executed(TaskLane::kSubtask) - tasks_before;
   root->Close();
   return m;
 }
@@ -126,9 +129,11 @@ Measured MorselScan(uint64_t build_rows, TaskScheduler* sched) {
   EXPECT_TRUE(root->Open(&ctx).ok());
   RowBatch batch(kBatchRows);
   Measured m;
+  uint64_t tasks_before = sched->tasks_executed(TaskLane::kSubtask);
   uint64_t before = Allocations();
   while (root->NextBatch(&batch)) m.rows += batch.size();
   m.allocations = Allocations() - before;
+  m.subtasks = sched->tasks_executed(TaskLane::kSubtask) - tasks_before;
   root->Close();
   return m;
 }
@@ -139,6 +144,9 @@ TEST(ParallelAlloc, JoinPhaseDoesNotAllocatePerRow) {
   Measured large = JoinPhase(16000, &sched, kWorkers);
   ASSERT_EQ(small.rows, 16000u);
   ASSERT_EQ(large.rows, 64000u);
+  // Both sizes fill many batches, so the join phase runs as subtasks.
+  EXPECT_GT(small.subtasks, 0u);
+  EXPECT_GT(large.subtasks, 0u);
   uint64_t growth = large.allocations > small.allocations
                         ? large.allocations - small.allocations
                         : 0;
@@ -186,6 +194,9 @@ TEST(ParallelAlloc, MorselMergeDoesNotAllocatePerRow) {
   Measured small = MorselScan(4000, &sched);
   Measured large = MorselScan(16000, &sched);
   ASSERT_GT(large.rows, 3 * small.rows);
+  // Both tables span many morsels, so the scans fan out.
+  EXPECT_GT(small.subtasks, 0u);
+  EXPECT_GT(large.subtasks, 0u);
   uint64_t growth = large.allocations > small.allocations
                         ? large.allocations - small.allocations
                         : 0;

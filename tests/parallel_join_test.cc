@@ -22,10 +22,13 @@
 
 #include "common/task_scheduler.h"
 #include "datagen/table_builder.h"
+#include "datagen/tpch_like.h"
 #include "exec/compiler.h"
 #include "exec/executor.h"
 #include "exec/grace_hash_join.h"
+#include "exec/seq_scan.h"
 #include "progress/concurrent_multi_query.h"
+#include "sql/planner.h"
 #include "storage/catalog.h"
 
 namespace qpi {
@@ -117,6 +120,8 @@ struct RunResult {
   std::vector<OpObservation> ops;  // pre-order over the tree
   std::vector<OnceObservation> once;
   uint64_t rows_emitted = 0;
+  uint64_t subtasks = 0;      // morsel-lane tasks the query's fleet ran
+  uint64_t scan_morsels = 0;  // of those, the morsels of its scans
 };
 
 RunResult RunQuery(const Catalog& catalog, const Shape& shape, EstimationMode mode,
@@ -153,7 +158,16 @@ RunResult RunQuery(const Catalog& catalog, const Shape& shape, EstimationMode mo
       }
       out.once.push_back(once);
     }
+    if (auto* scan = dynamic_cast<SeqScanOp*>(op)) {
+      uint64_t n = scan->scan_table().num_rows();
+      if (workers > 1 && n > ctx.morsel_rows) {
+        out.scan_morsels += (n + ctx.morsel_rows - 1) / ctx.morsel_rows;
+      }
+    }
   });
+  if (workers > 1) {
+    out.subtasks = ctx.scheduler()->tasks_executed(TaskLane::kSubtask);
+  }
   return out;
 }
 
@@ -171,6 +185,15 @@ TEST_P(ParallelVsSequential, IdenticalResultsCountersAndEstimates) {
                    EstimationModeName(mode) + " workers " +
                    std::to_string(workers));
       RunResult parallel = RunQuery(catalog, shape, mode, workers);
+      // The inputs are sized to take the parallel paths: every scan spans
+      // several morsels, and every join's probe side fills a batch, so its
+      // partitions run as subtasks beyond the scans' morsels.
+      EXPECT_GT(parallel.scan_morsels, 0u);
+      EXPECT_GE(parallel.subtasks, parallel.scan_morsels);
+      if (!reference.once.empty()) {
+        EXPECT_GT(parallel.subtasks, parallel.scan_morsels)
+            << "the join phase ran inline";
+      }
       EXPECT_EQ(parallel.rows_emitted, reference.rows_emitted);
       EXPECT_EQ(parallel.rows, reference.rows);
       ASSERT_EQ(parallel.ops.size(), reference.ops.size());
@@ -368,6 +391,61 @@ TEST(SharedFleet, AttachedSchedulerMatchesOwned) {
     EXPECT_EQ(canonical, reference.rows);
   }
   EXPECT_GT(fleet.tasks_executed(TaskLane::kSubtask), 0u);
+}
+
+/// Inputs of one morsel, and joins whose probe side is under one batch, run
+/// inline at any worker count. The short served statements' customer ⋈
+/// nation GROUP BY at SF 0.01 scans 1500 customers (one 4096-row morsel),
+/// and this literal keeps 797 of them for the probe side (under one
+/// 1024-row batch): it starts no subtask at 4 workers, and its run equals
+/// the 1-worker run.
+TEST(TinyInputs, StormJoinRunsInlineAtFourWorkers) {
+  Catalog catalog;
+  ASSERT_TRUE(TpchLikeGenerator(1).PopulateCatalog(&catalog, 0.01).ok());
+  const std::string sql =
+      "SELECT nation.regionkey, COUNT(*) FROM customer "
+      "JOIN nation ON nation.nationkey = customer.nationkey "
+      "WHERE customer.acctbal > 4500.00 GROUP BY nation.regionkey";
+  struct Run {
+    std::vector<std::string> rows;
+    std::vector<OpObservation> ops;
+    uint64_t subtasks = 0;
+  };
+  auto run = [&](size_t workers, TaskScheduler* fleet) {
+    ExecContext ctx;
+    ctx.catalog = &catalog;
+    ctx.mode = EstimationMode::kOnce;
+    ctx.exec_workers = workers;
+    ctx.AttachScheduler(fleet, 1);
+    PlanNodePtr plan;
+    EXPECT_TRUE(SqlPlanner(&catalog).PlanQuery(sql, &plan).ok());
+    OperatorPtr root;
+    EXPECT_TRUE(CompilePlan(plan.get(), &ctx, &root).ok());
+    uint64_t before = fleet->tasks_executed(TaskLane::kSubtask);
+    std::vector<Row> rows;
+    EXPECT_TRUE(QueryExecutor::Run(root.get(), &ctx, &rows, nullptr).ok());
+    Run out;
+    out.subtasks = fleet->tasks_executed(TaskLane::kSubtask) - before;
+    for (const Row& row : rows) out.rows.push_back(RowToString(row));
+    root->Visit([&](Operator* op) {
+      out.ops.push_back({op->label(), op->tuples_emitted(),
+                         op->CurrentCardinalityEstimate()});
+    });
+    ctx.AttachScheduler(nullptr, 0);
+    return out;
+  };
+  TaskScheduler fleet(4);
+  Run one = run(1, &fleet);
+  Run four = run(4, &fleet);
+  ASSERT_FALSE(one.rows.empty());
+  EXPECT_EQ(four.subtasks, 0u);
+  EXPECT_EQ(four.rows, one.rows);
+  ASSERT_EQ(four.ops.size(), one.ops.size());
+  for (size_t i = 0; i < one.ops.size(); ++i) {
+    EXPECT_EQ(four.ops[i].label, one.ops[i].label);
+    EXPECT_EQ(four.ops[i].emitted, one.ops[i].emitted) << one.ops[i].label;
+    EXPECT_EQ(four.ops[i].estimate, one.ops[i].estimate) << one.ops[i].label;
+  }
 }
 
 /// The concurrent executor rejects an invalid context at Add — before the

@@ -197,6 +197,50 @@ TEST_F(ServiceEventLoopTest, BinaryWatcherSeesTheSameStreamAsJson) {
   server->Shutdown();
 }
 
+// The broadcast cache drops a (query, cadence) entry once its final frame
+// went to every watch of the class. A later watch of the finished query
+// rebuilds it from the handle alone and gets the same terminal snapshot.
+TEST_F(ServiceEventLoopTest, LateWatcherOfAFinishedQueryGetsTheSameFinal) {
+  QpiServer::Options options;
+  options.exec_workers = 2;
+  options.publish_interval = 256;
+  auto server = StartServer(options);
+
+  QpiClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  uint64_t id = 0;
+  ASSERT_TRUE(client.Submit(kJoinSql, &id).ok());
+  WireSnapshot live_final;
+  ASSERT_TRUE(client.Watch(id, 5, nullptr, &live_final).ok());
+  ASSERT_TRUE(live_final.final_snapshot);
+  EXPECT_EQ(live_final.state, "finished");
+  ASSERT_FALSE(live_final.ops.empty());
+
+  // Everything but the stream's own sequence number and send time.
+  auto canonical = [](WireSnapshot snap) {
+    snap.seq = 0;
+    snap.server_ms = 0;
+    return EncodeSnapshot(snap);
+  };
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("late watch " + std::to_string(round));
+    QpiClient late;
+    ASSERT_TRUE(late.Connect("127.0.0.1", server->port()).ok());
+    int snapshots = 0;
+    WireSnapshot late_final;
+    ASSERT_TRUE(late.Watch(
+                        id, 5,
+                        [&snapshots](const WireSnapshot&) { ++snapshots; },
+                        &late_final)
+                    .ok());
+    EXPECT_EQ(snapshots, 1);
+    EXPECT_EQ(canonical(late_final), canonical(live_final));
+    ASSERT_TRUE(late.Quit().ok());
+  }
+  ASSERT_TRUE(client.Quit().ok());
+  server->Shutdown();
+}
+
 TEST_F(ServiceEventLoopTest, ManyConnectionsSpreadAcrossShardsAndDrain) {
   QpiServer::Options options;
   options.max_inflight = 2;
